@@ -1,11 +1,11 @@
 """Work budgets for the enumeration-heavy operations.
 
 All enumerations (maximal independent sets, set-cover search, guess-family
-materialization, distribution grids) charge their work against a meter so a
-hostile input fails with a resource error instead of hanging.  The default
-budget is 2**20 units of search work; the ZEROLEAK_BUDGET environment
-variable overrides it.  The automorphism search has a separate hard vertex
-cap that is not environment-tunable.
+materialization, distribution grids) and the simplex pivots of each LP
+charge their work against a meter so a hostile input fails with a resource
+error instead of hanging.  The default budget is 2**20 units of search work;
+the ZEROLEAK_BUDGET environment variable overrides it.  The automorphism
+search has a separate hard vertex cap that is not environment-tunable.
 """
 
 from __future__ import annotations

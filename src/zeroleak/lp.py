@@ -1,17 +1,23 @@
 """Exact linear programming over rationals.
 
-A small two-phase primal simplex with Bland's anti-cycling rule.  Every
-number is a `fractions.Fraction`; there is no floating point anywhere in the
-optimization path, so optima are exact and runs are deterministic.  Intended
-for the desk-scale programs this package builds (tens of variables), not for
-general-purpose solving.
+A small two-phase primal simplex with Bland's anti-cycling rule.  There is
+no floating point anywhere in the optimization path, so optima are exact and
+runs are deterministic.  The tableau is integer: each row is scaled to
+integers once, and the tableau then holds one common denominator `d` for all
+of its entries.  Pivots are fraction-free (Edmonds 1967; Bareiss 1968), so
+every division by `d` is exact.  Only the returned values are `Fraction`s.
+Every optimum carries a dual certificate that is checked exactly before it
+is returned.  Intended for the desk-scale programs this package builds (tens
+of rows), not for general-purpose solving.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .budget import WorkMeter
 from .errors import DomainError, ZeroleakError
 from .rationals import format_ratio
 
@@ -19,6 +25,7 @@ LESS_EQUAL = "<="
 EQUAL = "="
 GREATER_EQUAL = ">="
 _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
+_FLIPPED = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
 
 
 @dataclass(frozen=True)
@@ -65,15 +72,22 @@ def make_lp(sense, objective, constraints, bounds=None) -> LinearProgram:
     return LinearProgram(sense, objective, tuple(rows), fixed)
 
 
-def _validate(program: LinearProgram, assignment: tuple[Fraction, ...], value: Fraction) -> None:
-    # exact re-validation is part of solve_lp's contract
+def _validate(program: LinearProgram, assignment, value, rows, costs, u, duals) -> None:
+    """Exact optimality certificate; exact re-validation is part of solve_lp's contract.
+
+    `assignment` must meet every bound and constraint of `program` and attain
+    `value`.  `u` solves the standard form behind it: minimise `costs` over
+    `rows` with u >= 0.  `duals` must be a feasible dual of that form (sign
+    per relation, no negative reduced cost) with the same objective, which
+    proves `u` optimal by weak duality.
+    """
     for k, (lo, hi) in enumerate(program.bounds):
         if lo is not None and assignment[k] < lo:
             raise ZeroleakError("internal_error", f"solver broke lower bound on variable {k}")
         if hi is not None and assignment[k] > hi:
             raise ZeroleakError("internal_error", f"solver broke upper bound on variable {k}")
     for coeffs, rel, rhs in program.constraints:
-        lhs = sum(c * x for c, x in zip(coeffs, assignment))
+        lhs = sum(c * x for c, x in zip(coeffs, assignment) if c)
         ok = lhs <= rhs if rel == LESS_EQUAL else lhs >= rhs if rel == GREATER_EQUAL else lhs == rhs
         if not ok:
             raise ZeroleakError("internal_error", f"solver broke constraint {rel} {rhs}")
@@ -81,13 +95,28 @@ def _validate(program: LinearProgram, assignment: tuple[Fraction, ...], value: F
     if achieved != value:
         raise ZeroleakError("internal_error", "solver value does not match assignment")
 
+    reduced = list(costs)
+    for (coeffs, rel, _rhs), y in zip(rows, duals):
+        if (rel == LESS_EQUAL and y > 0) or (rel == GREATER_EQUAL and y < 0):
+            raise ZeroleakError("internal_error", f"dual of a {rel} row has the wrong sign")
+        if y:
+            reduced = [r - y * a if a else r for r, a in zip(reduced, coeffs)]
+    if any(r < 0 for r in reduced):
+        raise ZeroleakError("internal_error", "dual certificate has a negative reduced cost")
+    primal = sum(c * x for c, x in zip(costs, u))
+    dual = sum(y * rhs for (_coeffs, _rel, rhs), y in zip(rows, duals))
+    if primal != dual:
+        raise ZeroleakError("internal_error", "primal and dual objectives differ")
+
 
 def solve_lp(program: LinearProgram) -> LpSolution:
     """Exact optimum with deterministic pivoting.
 
     Infeasible and unbounded programs are reported through the status field,
-    never as exceptions.  Optimal solutions are re-checked against every
-    constraint and bound before being returned.
+    never as exceptions.  Optimal solutions are certified before they are
+    returned: the primal against every constraint and bound, the dual read
+    from the final tableau against the standard form.  Each pivot is charged
+    to the `lp_pivots` work budget.
     """
     width = len(program.objective)
 
@@ -131,15 +160,10 @@ def solve_lp(program: LinearProgram) -> LpSolution:
                 row[col + 1] -= c
         return row
 
+    offsets = [(entry[1], entry[2]) for entry in plan if entry[0] != "free" and entry[2] != 0]
+
     def shift_constant(coeffs) -> Fraction:
-        total = Fraction(0)
-        for entry in plan:
-            kind, k = entry[0], entry[1]
-            if kind == "shift":
-                total += coeffs[k] * entry[2]
-            elif kind == "mirror":
-                total += coeffs[k] * entry[2]
-        return total
+        return sum((coeffs[k] * offset for k, offset in offsets), Fraction(0))
 
     rows: list[tuple[list[Fraction], str, Fraction]] = []
     for coeffs, rel, rhs in program.constraints:
@@ -149,158 +173,155 @@ def solve_lp(program: LinearProgram) -> LpSolution:
         row[col] = Fraction(1)
         rows.append((row, LESS_EQUAL, cap))
 
-    # Degenerate case: no variables at all.
-    if ncols == 0:
-        for _, rel, rhs in rows:
-            ok = rhs >= 0 if rel == LESS_EQUAL else rhs <= 0 if rel == GREATER_EQUAL else rhs == 0
-            if not ok:
-                return LpSolution("infeasible", None, None)
-        value = sum(c * Fraction(0) for c in program.objective) + _objective_constant(program, plan)
-        return LpSolution("optimal", value, tuple(_recover(plan, col_of_var, [Fraction(0)] * 0, width)))
-
-    # --- build tableau with slack/surplus/artificial columns --------------
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
+    # --- integer tableau with slack/surplus/artificial columns ------------
+    # Each row gets rhs >= 0 and is scaled to integers by the lcm of its
+    # denominators; `multipliers` keeps that signed scale for the duals.
+    specs = []
     slack_cols = 0
     art_cols = 0
-    specs = []
     for coeffs, rel, rhs in rows:
+        scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
         if rhs < 0:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            rel = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}[rel]
-        specs.append((coeffs, rel, rhs))
-        if rel == LESS_EQUAL:
-            slack_cols += 1
-        elif rel == GREATER_EQUAL:
-            slack_cols += 1
-            art_cols += 1
-        else:
-            art_cols += 1
+            scale, rel = -scale, _FLIPPED[rel]
+        specs.append(([c.numerator * (scale // c.denominator) for c in coeffs + [rhs]], rel, scale))
+        slack_cols += rel != EQUAL
+        art_cols += rel != LESS_EQUAL
     total_cols = ncols + slack_cols + art_cols
     art_start = ncols + slack_cols
     slack_at = ncols
     art_at = art_start
-    artificial: set[int] = set(range(art_start, total_cols))
-    for coeffs, rel, rhs in specs:
-        row = list(coeffs) + [Fraction(0)] * (slack_cols + art_cols) + [rhs]
+    tableau: list[list[int]] = []
+    units: list[int] = []  # the +1 slack or artificial column of each row
+    multipliers: list[int] = []
+    for ints, rel, scale in specs:
+        row = ints[:-1] + [0] * (slack_cols + art_cols) + ints[-1:]
+        if rel != EQUAL:
+            row[slack_at] = 1 if rel == LESS_EQUAL else -1
+            slack_at += 1
         if rel == LESS_EQUAL:
-            row[slack_at] = Fraction(1)
-            basis.append(slack_at)
-            slack_at += 1
-        elif rel == GREATER_EQUAL:
-            row[slack_at] = Fraction(-1)
-            slack_at += 1
-            row[art_at] = Fraction(1)
-            basis.append(art_at)
-            art_at += 1
+            unit = slack_at - 1
         else:
-            row[art_at] = Fraction(1)
-            basis.append(art_at)
+            unit = art_at
+            row[art_at] = 1
             art_at += 1
         tableau.append(row)
-
-    def run(costs: list[Fraction], allowed) -> str:
-        # objective row: reduced costs d_j = c_j - sum_i c_basis[i] * a_ij
-        obj = [Fraction(0)] * (total_cols + 1)
-        for j in range(total_cols):
-            obj[j] = costs[j] - sum(costs[basis[i]] * tableau[i][j] for i in range(len(tableau)))
-        obj[total_cols] = -sum(costs[basis[i]] * tableau[i][total_cols] for i in range(len(tableau)))
-        while True:
-            entering = -1
-            for j in range(total_cols):
-                if j in allowed and obj[j] < 0:
-                    entering = j
-                    break  # Bland: lowest-index negative reduced cost
-            if entering < 0:
-                return "optimal"
-            leave = -1
-            best_ratio: Fraction | None = None
-            for i, row in enumerate(tableau):
-                a = row[entering]
-                if a > 0:
-                    ratio = row[total_cols] / a
-                    if best_ratio is None or ratio < best_ratio or (
-                        ratio == best_ratio and basis[i] < basis[leave]
-                    ):
-                        best_ratio = ratio
-                        leave = i
-            if leave < 0:
-                return "unbounded"
-            _pivot(tableau, obj, basis, leave, entering, total_cols)
+        units.append(unit)
+        multipliers.append(scale)
+    basis = list(units)
+    tab = _Tableau(tableau, basis, WorkMeter("lp_pivots"))
 
     # --- phase 1 ----------------------------------------------------------
-    if artificial:
-        costs1 = [Fraction(0)] * total_cols
-        for j in artificial:
-            costs1[j] = Fraction(1)
-        allowed1 = set(range(total_cols)) - artificial
-        run(costs1, allowed1)
-        infeas = sum(tableau[i][total_cols] for i in range(len(tableau)) if basis[i] in artificial)
-        if infeas != 0:
+    if art_cols:
+        tab.price([0] * art_start + [1] * art_cols)
+        tab.run(art_start)
+        if any(row[-1] for row, b in zip(tableau, basis) if b >= art_start):
             return LpSolution("infeasible", None, None)
         # pivot surviving artificials out of the (degenerate) basis
         for i in range(len(tableau) - 1, -1, -1):
-            if basis[i] not in artificial:
+            if basis[i] < art_start:
                 continue
-            entering = -1
-            for j in range(art_start):
-                if tableau[i][j] != 0:
-                    entering = j
-                    break
+            entering = next((j for j in range(art_start) if tableau[i][j] != 0), -1)
             if entering < 0:
                 del tableau[i]
                 del basis[i]
             else:
-                _pivot(tableau, None, basis, i, entering, total_cols)
+                tab.pivot(i, entering)
 
     # --- phase 2 ----------------------------------------------------------
-    sign = Fraction(1) if program.sense == "min" else Fraction(-1)
-    costs2 = [Fraction(0)] * total_cols
-    base_costs = to_cols(program.objective)
-    for j in range(ncols):
-        costs2[j] = sign * base_costs[j]
-    allowed2 = set(range(art_start))
-    status = run(costs2, allowed2)
-    if status == "unbounded":
+    sign = 1 if program.sense == "min" else -1
+    costs = [sign * c for c in to_cols(program.objective)]
+    cost_scale = math.lcm(*(c.denominator for c in costs))
+    tab.price([c.numerator * (cost_scale // c.denominator) for c in costs] + [0] * (total_cols - ncols))
+    if tab.run(art_start) == "unbounded":
         return LpSolution("unbounded", None, None)
 
-    u = [Fraction(0)] * total_cols
-    for i, b in enumerate(basis):
-        u[b] = tableau[i][total_cols]
+    d = tab.d
+    u = [Fraction(0)] * ncols
+    for row, b in zip(tableau, basis):
+        if b < ncols:
+            u[b] = Fraction(row[-1], d)
+    # The reduced cost of row k's unit column is -y_k (times d and the cost
+    # scale) for the scaled row; a deleted row's column is all zero, so y = 0.
+    duals = [Fraction(-tab.obj[j] * m, d * cost_scale) for j, m in zip(units, multipliers)]
     assignment = tuple(_recover(plan, col_of_var, u, width))
-    value = sum(c * x for c, x in zip(program.objective, assignment))
-    _validate(program, assignment, value)
+    value = sum((c * x for c, x in zip(program.objective, assignment)), Fraction(0))
+    _validate(program, assignment, value, rows, costs, u, duals)
     return LpSolution("optimal", value, assignment)
 
 
-def _pivot(tableau, obj, basis, leave: int, entering: int, last: int) -> None:
-    row = tableau[leave]
-    factor = row[entering]
-    tableau[leave] = [a / factor for a in row]
-    for i, other in enumerate(tableau):
-        if i == leave:
-            continue
-        a = other[entering]
-        if a != 0:
-            pivot_row = tableau[leave]
-            tableau[i] = [x - a * y for x, y in zip(other, pivot_row)]
-    if obj is not None:
-        a = obj[entering]
-        if a != 0:
-            pivot_row = tableau[leave]
-            for j in range(last + 1):
-                obj[j] -= a * pivot_row[j]
-    basis[leave] = entering
+class _Tableau:
+    """Integer simplex tableau sharing one common denominator `d` > 0.
+
+    `rows` (with the right-hand side last) and the objective row `obj` hold
+    `d` times the entries and reduced costs of the usual simplex tableau.
+    Every entry is, up to sign, a minor of the integer input, which is why
+    the division in `pivot` is exact.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int], meter: WorkMeter):
+        self.rows = rows
+        self.basis = basis
+        self.meter = meter
+        self.d = 1
+        self.obj: list[int] = []
+
+    def price(self, costs: list[int]) -> None:
+        """Objective row for integer `costs`: d * c_j - sum_i c_basis(i) * rows[i][j]."""
+        obj = [self.d * c for c in costs] + [0]
+        for row, b in zip(self.rows, self.basis):
+            cb = costs[b]
+            if cb:
+                obj = [o - cb * x for o, x in zip(obj, row)]
+        self.obj = obj
+
+    def run(self, allowed: int) -> str:
+        """Bland's rule over the columns below `allowed` until optimal or unbounded."""
+        rows, basis = self.rows, self.basis
+        while True:
+            obj = self.obj
+            entering = next((j for j in range(allowed) if obj[j] < 0), -1)
+            if entering < 0:
+                return "optimal"
+            leave = -1
+            for i, row in enumerate(rows):
+                a = row[entering]
+                if a > 0:
+                    if leave < 0:
+                        leave = i
+                        continue
+                    # compare row[-1] / a with the best ratio by cross-multiplying
+                    best = rows[leave]
+                    lhs, rhs = row[-1] * best[entering], best[-1] * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                        leave = i
+            if leave < 0:
+                return "unbounded"
+            self.pivot(leave, entering)
+
+    def pivot(self, r: int, e: int) -> None:
+        self.meter.spend(1)
+        rows, d = self.rows, self.d
+        prow = rows[r]
+        p = prow[e]
+        if p < 0:
+            # Only the phase-1 drive-out pivots on a negative entry; its row
+            # has rhs 0, and negating it keeps d > 0.
+            prow = rows[r] = [-x for x in prow]
+            p = -p
+        for i, row in enumerate(rows):
+            if i != r:
+                rows[i] = _eliminate(row, prow, p, e, d)
+        self.obj = _eliminate(self.obj, prow, p, e, d)
+        self.basis[r] = e
+        self.d = p
 
 
-def _objective_constant(program: LinearProgram, plan) -> Fraction:
-    total = Fraction(0)
-    for entry in plan:
-        kind, k = entry[0], entry[1]
-        if kind in ("shift", "mirror"):
-            total += program.objective[k] * entry[2]
-    return total
+def _eliminate(row: list[int], prow: list[int], p: int, e: int, d: int) -> list[int]:
+    """One fraction-free elimination step: (p * row - row[e] * prow) / d, exactly."""
+    f = row[e]
+    if f == 0:
+        return row if p == d else [x * p // d for x in row]
+    return [(x * p - f * y) // d for x, y in zip(row, prow)]
 
 
 def _recover(plan, col_of_var, u, width):
@@ -309,13 +330,11 @@ def _recover(plan, col_of_var, u, width):
         kind, k = entry[0], entry[1]
         col = col_of_var[k]
         if kind == "shift":
-            values[k] = entry[2] + u[col] if col < len(u) else entry[2]
+            values[k] = entry[2] + u[col]
         elif kind == "mirror":
-            values[k] = entry[2] - (u[col] if col < len(u) else Fraction(0))
+            values[k] = entry[2] - u[col]
         else:
-            a = u[col] if col < len(u) else Fraction(0)
-            b = u[col + 1] if col + 1 < len(u) else Fraction(0)
-            values[k] = a - b
+            values[k] = u[col] - u[col + 1]
     return values
 
 

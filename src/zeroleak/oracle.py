@@ -121,10 +121,16 @@ def distribution_grid(n: int, r: int) -> DistributionGrid:
 def _alphabet_size(m: StochasticMapping) -> int:
     """Recover n with n**t = source_count; the mapping must cover a full power."""
     total, t = m.source_count, m.t
-    n = round(total ** (1 / t))
-    for candidate in (n - 1, n, n + 1):
-        if candidate >= 1 and candidate**t == total:
-            return candidate
+    # exact integer t-th root by bisection: the largest n with n**t <= total
+    lo, hi = 1, 1 << -(-total.bit_length() // t)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**t <= total:
+            lo = mid
+        else:
+            hi = mid - 1
+    if lo**t == total:
+        return lo
     raise DomainError("dimension_mismatch", f"{total} rows is not a t={t} power of an alphabet size")
 
 

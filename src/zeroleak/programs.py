@@ -41,8 +41,10 @@ def _optimal(solution: LpSolution, what: str) -> LpSolution:
 def fractional_chromatic(g: Graph) -> WeightedFamily:
     """Minimum total weight on maximal independent sets covering every vertex once.
 
-    Weights are constrained to [0, 1] per set; the optimum is 1 exactly when
-    the graph has no edges.
+    Weights are only constrained to be nonnegative: with unit costs, an
+    optimal weight never exceeds 1, since any excess over 1 could be removed
+    and every cover would still hold.  The optimum is 1 exactly when the
+    graph has no edges.
     """
     sets = maximal_independent_sets(g)
     n = g.vertex_count
@@ -50,12 +52,7 @@ def fractional_chromatic(g: Graph) -> WeightedFamily:
     for x in range(n):
         row = [Fraction(1) if x in s else Fraction(0) for s in sets]
         constraints.append((row, GREATER_EQUAL, Fraction(1)))
-    program = make_lp(
-        "min",
-        [Fraction(1)] * len(sets),
-        constraints,
-        bounds=[(Fraction(0), Fraction(1))] * len(sets),
-    )
+    program = make_lp("min", [Fraction(1)] * len(sets), constraints)
     solution = _optimal(solve_lp(program), "fractional chromatic")
     return WeightedFamily(solution.value, sets, solution.assignment)
 
@@ -64,8 +61,9 @@ def maximin_eta(g: Graph) -> WeightedFamily:
     """Maximize the smallest per-vertex coverage of a unit weight split.
 
     Weights kappa over maximal independent sets sum to one; the value is the
-    largest floor z with coverage(x) >= z for every vertex.  The kappa <= 1
-    caps are implied by the unit sum but kept in the program.
+    largest floor z with coverage(x) >= z for every vertex.  Weights are
+    only constrained to be nonnegative: the unit sum already keeps each
+    kappa, and so the floor z, at most 1.
     """
     sets = maximal_independent_sets(g)
     m = len(sets)
@@ -75,12 +73,7 @@ def maximin_eta(g: Graph) -> WeightedFamily:
         row = [Fraction(1) if x in s else Fraction(0) for s in sets] + [Fraction(-1)]
         constraints.append((row, GREATER_EQUAL, Fraction(0)))
     constraints.append(([Fraction(1)] * m + [Fraction(0)], EQUAL, Fraction(1)))
-    program = make_lp(
-        "max",
-        [Fraction(0)] * m + [Fraction(1)],
-        constraints,
-        bounds=[(Fraction(0), Fraction(1))] * (m + 1),
-    )
+    program = make_lp("max", [Fraction(0)] * m + [Fraction(1)], constraints)
     solution = _optimal(solve_lp(program), "maximin split")
     return WeightedFamily(solution.value, sets, solution.assignment[:m])
 
@@ -218,7 +211,11 @@ def covering_number(h: Hypergraph) -> int:
 
 
 def fractional_packing(theta: Graph) -> WeightedVertices:
-    """Maximum total vertex weight with every closed neighborhood summing to <= 1."""
+    """Maximum total vertex weight with every closed neighborhood summing to <= 1.
+
+    Weights are only constrained to be nonnegative: each vertex lies in its
+    own closed neighborhood, so its weight is at most 1.
+    """
     if theta.vertex_count == 0:
         raise DomainError("empty_graph", "packing needs a nonempty graph")
     n = theta.vertex_count
@@ -233,11 +230,6 @@ def fractional_packing(theta: Graph) -> WeightedVertices:
     for hood in neighborhoods:
         row = [Fraction(1) if v in hood else Fraction(0) for v in range(n)]
         constraints.append((row, LESS_EQUAL, Fraction(1)))
-    program = make_lp(
-        "max",
-        [Fraction(1)] * n,
-        constraints,
-        bounds=[(Fraction(0), Fraction(1))] * n,
-    )
+    program = make_lp("max", [Fraction(1)] * n, constraints)
     solution = _optimal(solve_lp(program), "fractional packing")
     return WeightedVertices(solution.value, solution.assignment)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from zeroleak import DomainError
+from zeroleak import DomainError, ResourceBudgetError
 from zeroleak.lp import (
     EQUAL,
     GREATER_EQUAL,
@@ -147,6 +147,67 @@ def test_random_boxed_lps_against_vertex_enumeration():
         assert sol.status == "optimal"  # box is nonempty and bounded
         best = _brute_boxed_max(objective, constraints, bounds)
         assert sol.value == best
+
+
+def test_random_fractional_rows_against_vertex_enumeration():
+    """Non-integer coefficients and right-hand sides exercise the per-row
+    integer scaling; negative right-hand sides flip rows, and some of the
+    programs are infeasible."""
+    rng = random.Random(7)
+
+    def frac(lo, hi):
+        return Fraction(rng.randint(lo * 6, hi * 6), rng.randint(1, 6))
+
+    statuses = set()
+    for _ in range(60):
+        nvars = rng.randint(1, 3)
+        nrows = rng.randint(1, 3)
+        objective = [frac(-3, 3) for _ in range(nvars)]
+        constraints = [([frac(-2, 2) for _ in range(nvars)], LESS_EQUAL, frac(-1, 4)) for _ in range(nrows)]
+        bounds = [(Fraction(0), frac(1, 3)) for _ in range(nvars)]
+        sol = solve_lp(make_lp("max", objective, constraints, bounds=bounds))
+        best = _brute_boxed_max(objective, constraints, bounds)
+        statuses.add(sol.status)
+        if best is None:
+            assert sol.status == "infeasible"
+        else:
+            assert sol.status == "optimal"
+            assert sol.value == best
+    assert statuses == {"optimal", "infeasible"}
+
+
+def test_duplicated_equality_row_is_deleted():
+    # phase 1 leaves the copy's artificial basic on an all-zero row
+    lp = make_lp("min", [1, 2], [([1, 1], EQUAL, 2), ([1, 1], EQUAL, 2)])
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    assert sol.value == 2
+    assert sol.assignment == (Fraction(2), Fraction(0))
+
+
+def test_drive_out_pivots_on_a_negative_entry():
+    # -x - y = 0 keeps its artificial basic at zero through phase 1 (every
+    # reduced cost on its row is positive), so the drive-out step pivots on -1
+    lp = make_lp(
+        "max",
+        [0, 0, 1],
+        [([-1, -1, 0], EQUAL, 0), ([1, 0, 1], LESS_EQUAL, 2), ([0, 1, 1], LESS_EQUAL, 3)],
+    )
+    sol = solve_lp(lp)
+    assert sol.status == "optimal"
+    assert sol.value == 2
+    assert sol.assignment == (Fraction(0), Fraction(0), Fraction(2))
+
+
+def test_pivots_are_charged_to_the_budget(monkeypatch):
+    # five unit caps: Bland's rule brings in each variable with its own pivot
+    lp = make_lp("max", [1] * 5, [([1 if j == i else 0 for j in range(5)], LESS_EQUAL, 1) for i in range(5)])
+    assert solve_lp(lp).value == 5
+    monkeypatch.setenv("ZEROLEAK_BUDGET", "3")
+    with pytest.raises(ResourceBudgetError) as e:
+        solve_lp(lp)
+    assert e.value.budget_name == "lp_pivots"
+    assert e.value.detail["budget"] == "lp_pivots"
 
 
 def _brute_boxed_max(objective, constraints, bounds, steps: int = 6):

@@ -24,6 +24,7 @@ from zeroleak import (
     verify_packing_reciprocity,
     worst_case_rho,
 )
+from zeroleak.oracle import _alphabet_size
 from zeroleak.rationals import parse_ratio
 from helpers import k22
 
@@ -312,3 +313,20 @@ def test_verify_mergeability_closure_collapses_edgeless_to_constant():
     assert report["witness"]["merges"] == 2  # one merge per trial: the two copies join
     with pytest.raises(DomainError):
         verify_mergeability_closure(e3, 1, trials=0)
+
+
+def test_alphabet_size_is_an_exact_root():
+    class Rows:
+        def __init__(self, source_count, t):
+            self.source_count, self.t = source_count, t
+
+    assert _alphabet_size(Rows(1, 3)) == 1
+    assert _alphabet_size(Rows(8, 3)) == 2
+    assert _alphabet_size(Rows(5**4, 4)) == 5
+    # too large for a float root
+    assert _alphabet_size(Rows(3**700, 700)) == 3
+    assert _alphabet_size(Rows((10**40 + 1) ** 9, 9)) == 10**40 + 1
+    for total, t in ((7, 3), (3**700 + 1, 700), ((10**40 + 1) ** 9 - 1, 9)):
+        with pytest.raises(DomainError) as e:
+            _alphabet_size(Rows(total, t))
+        assert e.value.code == "dimension_mismatch"

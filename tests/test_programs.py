@@ -6,6 +6,7 @@ import pytest
 from zeroleak import (
     DomainError,
     covering_number,
+    fixture_corpus,
     fractional_chromatic,
     fractional_covering,
     fractional_packing,
@@ -191,6 +192,15 @@ def test_packing_weights_feasible():
 
         for x in range(g.vertex_count):
             assert sum(result.weights[v] for v in closed_neighborhood(g, x)) <= 1
+
+
+def test_uncapped_weights_stay_at_most_one():
+    # the programs carry no [0, 1] caps; the optimum must never need them
+    for _name, g in fixture_corpus():
+        weights = (
+            fractional_chromatic(g).weights + maximin_eta(g).weights + fractional_packing(g).weights
+        )
+        assert all(0 <= w <= 1 for w in weights)
 
 
 def test_packing_empty_graph():
