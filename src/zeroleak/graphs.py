@@ -3,13 +3,17 @@
 Vertices are 0-based indices.  Length-t source sequences are identified with
 vertices of the t-fold OR power through a big-endian base-|V| encoding, so
 tuple and index views of a sequence are interchangeable everywhere.
+
+Each graph carries bitmask rows, computed once on first use: bit u of
+`rows[v]` is set iff uv is an edge.  Products, maximal-independent-set
+enumeration and neighbourhood traces are bit operations on these rows.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .budget import AUTOMORPHISM_VERTEX_CAP, WorkMeter
 from .errors import DomainError
@@ -50,6 +54,15 @@ class Graph:
             return False
         return (min(u, v), max(u, v)) in self.edges
 
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """Neighbour bitmasks: bit u of rows[v] is set iff uv is an edge."""
+        rows = [0] * self.vertex_count
+        for u, v in self.edges:
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        return tuple(rows)
+
 
 def make_graph(n: int, edges, labels=None) -> Graph:
     """Build a Graph from any iterable of vertex pairs; (u,v) and (v,u) collapse."""
@@ -80,40 +93,37 @@ def _require_nonempty(g: Graph) -> None:
         raise DomainError("empty_graph", "operation requires a graph with at least one vertex")
 
 
-@dataclass(frozen=True)
-class SequenceVertex:
-    """A length-t symbol tuple fused with its canonical product-graph index.
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    The index is the big-endian base-`base` reading of `symbols`, matching the
-    vertex numbering produced by iterated graph products.
+
+def _row_words(n: int) -> int:
+    """64-bit words held by n bitmask rows of n bits each."""
+    return n * -(-n // 64)
+
+
+def first_edge_within(g: Graph, vertices) -> tuple[int, int] | None:
+    """The first edge (a, b), a < b, with both ends among `vertices`, or None.
+
+    Edges are ordered by a, then b, so the answer is the first confusable
+    pair a scan over the sorted vertices would meet; None means the
+    vertices are independent.
     """
-
-    symbols: tuple[int, ...]
-    base: int
-    encoded_index: int
-
-    def __post_init__(self):
-        if self.base < 1:
-            raise DomainError("bad_base", f"alphabet size must be >= 1, got {self.base}")
-        if len(self.symbols) < 1:
-            raise DomainError("bad_sequence", "a sequence vertex needs at least one symbol")
-        for s in self.symbols:
-            if not (0 <= s < self.base):
-                raise DomainError("bad_sequence", f"symbol {s} out of range for alphabet size {self.base}")
-        if self.encoded_index != encode_symbols(self.symbols, self.base):
-            raise DomainError(
-                "bad_sequence",
-                f"encoded_index {self.encoded_index} does not match symbols {self.symbols}",
-            )
-
-    @classmethod
-    def from_symbols(cls, symbols, base: int) -> "SequenceVertex":
-        symbols = tuple(symbols)
-        return cls(symbols, base, encode_symbols(symbols, base))
-
-    @classmethod
-    def from_index(cls, index: int, t: int, base: int) -> "SequenceVertex":
-        return cls(decode_index(index, t, base), base, index)
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    rows = g.rows
+    for a in _bits(mask):
+        above = (rows[a] & mask) >> (a + 1)
+        if above:
+            return a, a + (above & -above).bit_length()
+    return None
 
 
 def encode_symbols(symbols, base: int) -> int:
@@ -228,43 +238,67 @@ def make_family(occurrences) -> VertexSetFamily:
 # Graph products
 # ---------------------------------------------------------------------------
 
+def _spread(mask: int, width: int) -> int:
+    """Move bit k of mask to bit k * width: one marker per block of a product row."""
+    out = 0
+    for k in _bits(mask):
+        out |= 1 << (k * width)
+    return out
+
+
+def _graph_from_rows(rows: list[int]) -> Graph:
+    """The graph with these symmetric neighbour rows, which become its row cache."""
+    edges = []
+    for a, row in enumerate(rows):
+        edges.extend((a, a + 1 + k) for k in _bits(row >> (a + 1)))
+    g = Graph(len(rows), frozenset(edges))
+    g.__dict__["rows"] = tuple(rows)  # where cached_property keeps its value
+    return g
+
+
+def _product_guard(n: int) -> None:
+    WorkMeter("graph_product").check_size(_row_words(n), "product rows")
+
+
 def or_product(g: Graph, h: Graph) -> Graph:
     """Disjunctive product: pair vertices adjacent iff adjacent in either slot.
 
     Vertex (i, j) is encoded as i*|V(h)| + j, so iterating the product keeps
-    the big-endian sequence encoding.
+    the big-endian sequence encoding.  Row (i, j) is a full block at every
+    g-neighbour of i plus h's row j in every block.
     """
     _require_nonempty(g)
     _require_nonempty(h)
     nh = h.vertex_count
-    n = g.vertex_count * nh
-    edges = set()
-    for a in range(n):
-        i1, j1 = divmod(a, nh)
-        for b in range(a + 1, n):
-            i2, j2 = divmod(b, nh)
-            if g.has_edge(i1, i2) or h.has_edge(j1, j2):
-                edges.add((a, b))
-    return Graph(n, frozenset(edges))
+    _product_guard(g.vertex_count * nh)
+    # multiplying by a spread mask ORs shifted copies into disjoint blocks
+    block = (1 << nh) - 1
+    every_block = _spread((1 << g.vertex_count) - 1, nh)
+    h_everywhere = [row * every_block for row in h.rows]
+    rows = []
+    for g_row in g.rows:
+        blocks = _spread(g_row, nh) * block
+        rows.extend(blocks | h_row for h_row in h_everywhere)
+    return _graph_from_rows(rows)
 
 
 def and_product(g: Graph, h: Graph) -> Graph:
     """Strong-style product: distinct pairs adjacent iff every slot is equal or adjacent.
 
     The all-slots-equal pair is the same vertex, so the result stays simple.
+    Row (i, j) is h's closed row j at every slot of g's closed row i, less
+    the vertex itself.
     """
     _require_nonempty(g)
     _require_nonempty(h)
     nh = h.vertex_count
-    n = g.vertex_count * nh
-    edges = set()
-    for a in range(n):
-        i1, j1 = divmod(a, nh)
-        for b in range(a + 1, n):
-            i2, j2 = divmod(b, nh)
-            if (i1 == i2 or g.has_edge(i1, i2)) and (j1 == j2 or h.has_edge(j1, j2)):
-                edges.add((a, b))
-    return Graph(n, frozenset(edges))
+    _product_guard(g.vertex_count * nh)
+    h_closed = [row | 1 << j for j, row in enumerate(h.rows)]
+    rows = []
+    for i, g_row in enumerate(g.rows):
+        slots = _spread(g_row | 1 << i, nh)
+        rows.extend(slots * closed ^ 1 << (i * nh + j) for j, closed in enumerate(h_closed))
+    return _graph_from_rows(rows)
 
 
 @lru_cache(maxsize=None)
@@ -305,37 +339,40 @@ def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     """All maximal independent sets, sorted lexicographically by member list.
 
     Runs pivoting Bron-Kerbosch on the complement graph (maximal cliques of
-    the complement are exactly the maximal independent sets).  Pivot choice is
-    the lowest-index vertex with the most complement-neighbors inside P, so
-    output and work are deterministic.
+    the complement are exactly the maximal independent sets) as a loop over
+    an explicit stack of (R, P, X) bitmasks, so no depth of search can reach
+    the interpreter's recursion limit.  The pivot is the lowest-index vertex
+    of P | X with the most complement-neighbours inside P (Tomita, Tanaka &
+    Takahashi 2006), and branches run in ascending vertex order, so output
+    and work are deterministic.  Each search node costs one mis_enumeration
+    unit; the complement rows' size is checked against the same budget
+    before any row is built.
     """
     _require_nonempty(g)
     n = g.vertex_count
-    adj = adjacency(g)
-    full = frozenset(range(n))
-    # complement neighborhoods; self excluded
-    co = [full - adj[v] - {v} for v in range(n)]
     meter = WorkMeter("mis_enumeration")
+    meter.check_size(_row_words(n), "bitset rows")
+    full = (1 << n) - 1
+    co = [full ^ (row | 1 << v) for v, row in enumerate(g.rows)]
     found: list[tuple[int, ...]] = []
-
-    def expand(r: set[int], p: set[int], x: set[int]) -> None:
+    stack = [(0, full, 0)]
+    while stack:
+        r, p, x = stack.pop()
         meter.spend(1)
-        if not p and not x:
-            found.append(tuple(sorted(r)))
-            return
-        pivot = -1
-        best = -1
-        for u in sorted(p | x):
-            score = len(p & co[u])
-            if score > best:
-                best = score
-                pivot = u
-        for v in sorted(p - co[pivot]):
-            expand(r | {v}, p & co[v], x & co[v])
-            p = p - {v}
-            x = x | {v}
-
-    expand(set(), set(range(n)), set())
+        if not p:
+            if not x:
+                found.append(tuple(_bits(r)))
+            continue
+        candidates = _bits(p | x)
+        scores = [(p & co[u]).bit_count() for u in candidates]
+        pivot = candidates[scores.index(max(scores))]
+        children = []
+        for v in _bits(p & ~co[pivot]):
+            bit = 1 << v
+            children.append((r | bit, p & co[v], x & co[v]))
+            p ^= bit
+            x |= bit
+        stack.extend(reversed(children))
     return tuple(sorted(found))
 
 
@@ -441,11 +478,15 @@ def associated_hypergraph(T, theta: Graph, t: int) -> Hypergraph:
     for v in members:
         if not (0 <= v < total):
             raise DomainError("vertex_out_of_range", f"sequence index {v} out of range for |V|^t={total}")
-    product = and_power(theta, t)
-    member_set = set(members)
-    edges = set()
-    for x in range(total):
-        trace = member_set & closed_neighborhood(product, x)
-        if trace:
-            edges.add(tuple(sorted(trace)))
-    return Hypergraph(members, tuple(sorted(edges)))
+    mask = 0
+    for v in members:
+        mask |= 1 << v
+    traces = {row & mask for row in _closed_power_rows(theta, t)}
+    traces.discard(0)
+    return Hypergraph(members, tuple(sorted(tuple(_bits(trace)) for trace in traces)))
+
+
+@lru_cache(maxsize=None)
+def _closed_power_rows(theta: Graph, t: int) -> tuple[int, ...]:
+    """Closed-neighbourhood rows of the t-fold AND power of theta."""
+    return tuple(row | 1 << v for v, row in enumerate(and_power(theta, t).rows))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .errors import DomainError
-from .graphs import Graph, VertexSetFamily, make_graph
+from .graphs import Graph, make_graph
 from .leakage import BoundsReport, GuessBudget, StochasticMapping, make_mapping
 from .rationals import bits_display, format_ratio, parse_ratio
 
@@ -93,10 +93,6 @@ def mapping_from_obj(obj) -> StochasticMapping:
 
 def _reject_entry(e):
     raise DomainError("bad_mapping_json", f'probability {e!r} must be a "p/q" string')
-
-
-def family_to_obj(f: VertexSetFamily) -> dict:
-    return {"sets": [list(s) for s in f.sets], "mult": list(f.multiplicities)}
 
 
 def bounds_to_obj(report: BoundsReport) -> dict:

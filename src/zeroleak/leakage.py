@@ -20,6 +20,7 @@ from .graphs import (
     Graph,
     VertexSetFamily,
     associated_hypergraph,
+    first_edge_within,
     independence_number,
     is_vertex_transitive,
     make_family,
@@ -150,11 +151,9 @@ def validate_mapping(m: StochasticMapping, gamma: Graph) -> ValidationReport:
         )
     product = or_power(gamma, m.t)
     for j, name in enumerate(m.codewords):
-        support = sorted(m.support(j))
-        for a in range(len(support)):
-            for b in range(a + 1, len(support)):
-                if product.has_edge(support[a], support[b]):
-                    return ValidationReport(False, (name, support[a], support[b]))
+        pair = first_edge_within(product, m.support(j))
+        if pair is not None:
+            return ValidationReport(False, (name, *pair))
     return ValidationReport(True, None)
 
 
@@ -302,16 +301,14 @@ def merge_codewords(m: StochasticMapping, y1: str, y2: str, gamma: Graph) -> Sto
             "dimension_mismatch",
             f"mapping has {m.source_count} rows but the graph gives {expected} length-{m.t} sequences",
         )
-    product = or_power(gamma, m.t)
-    union = sorted(m.support(j1) | m.support(j2))
-    for a in range(len(union)):
-        for b in range(a + 1, len(union)):
-            if product.has_edge(union[a], union[b]):
-                raise DomainError(
-                    "not_mergeable",
-                    f"sources {union[a]} and {union[b]} are confusable but would share the merged codeword",
-                    {"u": union[a], "v": union[b]},
-                )
+    pair = first_edge_within(or_power(gamma, m.t), m.support(j1) | m.support(j2))
+    if pair is not None:
+        u, v = pair
+        raise DomainError(
+            "not_mergeable",
+            f"sources {u} and {v} are confusable but would share the merged codeword",
+            {"u": u, "v": v},
+        )
     lo, hi = min(j1, j2), max(j1, j2)
     names = list(m.codewords)
     names[lo] = f"({y1}&{y2})"

@@ -23,6 +23,7 @@ from .graphs import (
     and_power,
     closed_neighborhood,
     decode_index,
+    first_edge_within,
     independence_number,
     mis_of_or_power,
     or_power,
@@ -362,12 +363,7 @@ def _first_mergeable_pair(m: StochasticMapping, product: Graph):
     supports = [m.support(j) for j in range(len(m.codewords))]
     for j1 in range(len(m.codewords)):
         for j2 in range(j1 + 1, len(m.codewords)):
-            union = sorted(supports[j1] | supports[j2])
-            if not any(
-                product.has_edge(union[a], union[b])
-                for a in range(len(union))
-                for b in range(a + 1, len(union))
-            ):
+            if first_edge_within(product, supports[j1] | supports[j2]) is None:
                 return j1, j2
     return None
 

@@ -121,6 +121,54 @@ def brute_packing(theta: Graph, denominator: int) -> Fraction:
     return best
 
 
+def coordinate_product(g: Graph, h: Graph, op: str) -> Graph:
+    """OR or AND product straight from the coordinate rule, pair by pair.
+
+    Vertex (i, j) is i * |V(h)| + j.  OR: distinct pairs adjacent iff adjacent
+    in some slot.  AND: distinct pairs adjacent iff every slot is equal or
+    adjacent.
+    """
+    nh = h.vertex_count
+    n = g.vertex_count * nh
+    edges = []
+    for a, b in itertools.combinations(range(n), 2):
+        (i1, j1), (i2, j2) = divmod(a, nh), divmod(b, nh)
+        if op == "or":
+            adjacent = g.has_edge(i1, i2) or h.has_edge(j1, j2)
+        else:
+            adjacent = (i1 == i2 or g.has_edge(i1, i2)) and (j1 == j2 or h.has_edge(j1, j2))
+        if adjacent:
+            edges.append((a, b))
+    return make_graph(n, edges)
+
+
+def brute_hypergraph_edges(T, theta: Graph, t: int) -> tuple[tuple[int, ...], ...]:
+    """Distinct nonempty traces on T of the closed neighborhoods of theta's AND power.
+
+    y is in the closed neighborhood of x iff every coordinate of y equals or
+    is adjacent to the same coordinate of x.
+    """
+    n = theta.vertex_count
+
+    def digits(x):
+        out = []
+        for _ in range(t):
+            x, r = divmod(x, n)
+            out.append(r)
+        return out
+
+    members = sorted(set(T))
+    traces = set()
+    for x in range(n**t):
+        trace = tuple(
+            y for y in members
+            if all(p == q or theta.has_edge(p, q) for p, q in zip(digits(x), digits(y)))
+        )
+        if trace:
+            traces.add(trace)
+    return tuple(sorted(traces))
+
+
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)

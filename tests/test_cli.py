@@ -344,3 +344,20 @@ def test_subprocess_runs_are_byte_identical():
         second = run_proc(*cmd)
         assert first == second
         assert first[0] == 0
+
+
+def test_alpha_on_a_deep_edgeless_graph(capsysbinary, tmp_path):
+    # every search node has one branch, so the search is 1100 levels deep
+    path = write_json(tmp_path, "edgeless.json", {"n": 1100, "edges": []})
+    code, out, err = run_main(capsysbinary, "alpha", "--graph", path)
+    assert code == 0 and err == b""
+    assert json.loads(out) == {"alpha": 1100}
+
+
+def test_vertex_count_guard_precedes_allocation(capsysbinary, tmp_path):
+    path = write_json(tmp_path, "huge.json", {"n": 1000000, "edges": []})
+    code, out, err = run_main(capsysbinary, "alpha", "--graph", path)
+    assert code == 2 and out == b""
+    error = json.loads(err)["error"]
+    assert error["code"] == "budget_exceeded"
+    assert error["detail"]["budget"] == "mis_enumeration"

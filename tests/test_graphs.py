@@ -11,6 +11,7 @@ from zeroleak import (
     closed_neighborhood,
     decode_index,
     encode_symbols,
+    fixture_corpus,
     independence_number,
     is_vertex_transitive,
     make_family,
@@ -22,7 +23,8 @@ from zeroleak import (
     or_product,
     resolve_fixture,
 )
-from helpers import all_graphs, brute_mis, connected_graphs, k22
+from zeroleak.graphs import first_edge_within
+from helpers import all_graphs, brute_hypergraph_edges, brute_mis, connected_graphs, coordinate_product, k22
 
 
 def test_make_graph_normalizes_edges():
@@ -285,3 +287,64 @@ def test_connected_graph_counts():
     assert len(connected_graphs(3)) == 4
     assert len(connected_graphs(4)) == 38
     assert len(connected_graphs(5)) == 728
+
+
+def test_products_match_the_coordinate_rule_on_fixture_pairs():
+    corpus = [g for _, g in fixture_corpus() if g.vertex_count <= 7]
+    for g in corpus:
+        for h in corpus:
+            for op, product in (("or", or_product), ("and", and_product)):
+                p = product(g, h)
+                assert p == coordinate_product(g, h, op)
+                assert p.rows == make_graph(p.vertex_count, p.edges).rows
+
+
+def test_product_guard_precedes_allocation():
+    big = make_graph(1100, [])
+    for product in (or_product, and_product):
+        with pytest.raises(ResourceBudgetError) as e:
+            product(big, big)
+        assert e.value.budget_name == "graph_product"
+
+
+def test_associated_hypergraph_matches_the_trace_definition():
+    rng = random.Random(31)
+    for name in ("c5", "p3", "fig1_theta", "k3", "petersen"):
+        theta = resolve_fixture(name)
+        for t in (1, 2):
+            total = theta.vertex_count**t
+            sets = [tuple(range(total)), *maximal_independent_sets(or_power(theta, t))[:3]]
+            sets += [rng.sample(range(total), rng.randint(1, min(total, 6))) for _ in range(3)]
+            for T in sets:
+                h = associated_hypergraph(T, theta, t)
+                assert h.vertex_ids == tuple(sorted(set(T)))
+                assert h.hyperedges == brute_hypergraph_edges(T, theta, t)
+
+
+def test_mis_enumeration_units_are_pinned(monkeypatch):
+    # one unit per search node; the counts fix the pivot rule and branch order
+    c7 = resolve_fixture("c7")
+    pinned = [(resolve_fixture("c5"), 9), (c7, 16), (resolve_fixture("petersen"), 35), (or_power(c7, 2), 442)]
+    for g, units in pinned:
+        monkeypatch.setenv("ZEROLEAK_BUDGET", str(units))
+        maximal_independent_sets.cache_clear()
+        maximal_independent_sets(g)  # within budget
+        monkeypatch.setenv("ZEROLEAK_BUDGET", str(units - 1))
+        maximal_independent_sets.cache_clear()
+        with pytest.raises(ResourceBudgetError) as e:
+            maximal_independent_sets(g)
+        assert e.value.budget_name == "mis_enumeration"
+    maximal_independent_sets.cache_clear()
+
+
+def test_first_edge_within_is_the_first_pair_of_an_ascending_scan():
+    rng = random.Random(41)
+    for _ in range(40):
+        g = _random_graph(rng, rng.randint(1, 9))
+        chosen = rng.sample(range(g.vertex_count), rng.randint(0, g.vertex_count))
+        members = sorted(chosen)
+        expect = next(
+            ((a, b) for i, a in enumerate(members) for b in members[i + 1:] if g.has_edge(a, b)),
+            None,
+        )
+        assert first_edge_within(g, chosen) == expect
