@@ -56,26 +56,6 @@ def path_graph(n: int) -> Graph:
     return make_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def petersen_graph() -> Graph:
-    # outer 5-cycle 0..4, inner pentagram 5..9, spokes i -- i+5
-    edges = [(i, (i + 1) % 5) for i in range(5)]
-    edges += [(i, i + 5) for i in range(5)]
-    edges += [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
-    return make_graph(10, edges)
-
-
-def quality_pair_graph() -> Graph:
-    """Four sources in two confusable quality pairs; the rest are distinguishable."""
-    labels = ("VH", "H", "VL", "L")
-    return make_graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)], labels)
-
-
-def quality_pair_adversary() -> Graph:
-    """Adversary closeness for the quality pairs: a guess is good within a pair."""
-    labels = ("VH", "H", "VL", "L")
-    return make_graph(4, [(0, 1), (2, 3)], labels)
-
-
 def _load_shipped(name: str) -> Graph:
     text = resources.files("zeroleak.fixtures").joinpath(f"{name}.json").read_text(encoding="utf-8")
     return graph_from_obj(json.loads(text))

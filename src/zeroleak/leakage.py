@@ -494,6 +494,19 @@ def _max_fractional_covering(gamma: Graph, theta: Graph) -> Fraction:
     return best
 
 
+def _approx_guess_sides(
+    gamma: Graph, packing: Fraction, kf_max: Fraction
+) -> tuple[Fraction, Fraction, list[tuple[str, str]]]:
+    """Lower side packing / kf_max floored at zero bits, upper side chi_f, and their provenance."""
+    raw = packing / kf_max
+    provenance: list[tuple[str, str]] = [("lower", "packing_over_max_covering")]
+    if raw < 1:
+        provenance.append(("lower_floor", "clamped_to_zero_bits"))
+    chi = fractional_chromatic(gamma).value
+    provenance.append(("upper", "fractional_chromatic"))
+    return max(raw, Fraction(1)), chi, provenance
+
+
 def approx_guess_bounds(gamma: Graph, theta: Graph) -> BoundsReport:
     """Bounds on the leakage rate against one approximate guess per block.
 
@@ -505,13 +518,7 @@ def approx_guess_bounds(gamma: Graph, theta: Graph) -> BoundsReport:
     _require_same_vertices(gamma, theta)
     packing = fractional_packing(theta).value
     kf_max = _max_fractional_covering(gamma, theta)
-    raw = packing / kf_max
-    provenance: list[tuple[str, str]] = [("lower", "packing_over_max_covering")]
-    if raw < 1:
-        provenance.append(("lower_floor", "clamped_to_zero_bits"))
-    chi = fractional_chromatic(gamma).value
-    provenance.append(("upper", "fractional_chromatic"))
-    lower = max(raw, Fraction(1))
+    lower, chi, provenance = _approx_guess_sides(gamma, packing, kf_max)
     return BoundsReport(LeakageValue(lower), LeakageValue(chi), lower == chi, tuple(provenance))
 
 
@@ -538,16 +545,10 @@ def multi_approx_guess_bounds(gamma: Graph, theta: Graph, budget: GuessBudget) -
             "budget exceeds the approximate guesses the adversary graph can tell apart",
         )
     packing = fractional_packing(theta).value
-    raw = packing / kf_max
-    provenance: list[tuple[str, str]] = [("lower", "packing_over_max_covering")]
-    if raw < 1:
-        provenance.append(("lower_floor", "clamped_to_zero_bits"))
-    chi = fractional_chromatic(gamma).value
-    provenance.append(("upper", "fractional_chromatic"))
+    lower, chi, provenance = _approx_guess_sides(gamma, packing, kf_max)
     try:
         if budget.sigma_is_zero():
             provenance.append(("budget", "collapses_to_single_approx_guess"))
     except DomainError:
         provenance.append(("growth", "undeclared_table_growth"))
-    lower = max(raw, Fraction(1))
     return BoundsReport(LeakageValue(lower), LeakageValue(chi), lower == chi, tuple(provenance))

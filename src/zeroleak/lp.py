@@ -1,13 +1,15 @@
 """Exact linear programming over rationals.
 
-A small two-phase primal simplex with Bland's anti-cycling rule.  There is
-no floating point anywhere in the optimization path, so optima are exact and
-runs are deterministic.  The tableau is integer: each row is scaled to
-integers once, and the tableau then holds one common denominator `d` for all
-of its entries.  Pivots are fraction-free (Edmonds 1967; Bareiss 1968), so
-every division by `d` is exact.  Only the returned values are `Fraction`s.
-Every optimum carries a dual certificate that is checked exactly before it
-is returned.  Intended for the desk-scale programs this package builds (tens
+A small two-phase primal simplex with Bland's anti-cycling rule, for
+programs in standard form: every variable is nonnegative, and every
+constraint is a `<=`, `=` or `>=` row.  There is no floating point anywhere
+in the optimization path, so optima are exact and runs are deterministic.
+The tableau is integer: each row is scaled to integers once, and the tableau
+then holds one common denominator `d` for all of its entries.  Pivots are
+fraction-free (Edmonds 1967; Bareiss 1968), so every division by `d` is
+exact.  Only the returned values are `Fraction`s.  Every optimum carries a
+dual certificate that is checked exactly against the program before it is
+returned.  Intended for the desk-scale programs this package builds (tens
 of rows), not for general-purpose solving.
 """
 
@@ -19,7 +21,6 @@ from fractions import Fraction
 
 from .budget import WorkMeter
 from .errors import DomainError, ZeroleakError
-from .rationals import format_ratio
 
 LESS_EQUAL = "<="
 EQUAL = "="
@@ -30,17 +31,16 @@ _FLIPPED = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
 
 @dataclass(frozen=True)
 class LinearProgram:
+    """Optimize `objective` over x >= 0 subject to every row of `constraints`."""
+
     sense: str  # "min" or "max"
     objective: tuple[Fraction, ...]
     constraints: tuple[tuple[tuple[Fraction, ...], str, Fraction], ...]
-    bounds: tuple[tuple[Fraction | None, Fraction | None], ...]
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
             raise DomainError("bad_lp", f"sense must be 'min' or 'max', got {self.sense!r}")
         width = len(self.objective)
-        if len(self.bounds) != width:
-            raise DomainError("dimension_mismatch", f"{len(self.bounds)} bounds for {width} variables")
         for coeffs, rel, _rhs in self.constraints:
             if len(coeffs) != width:
                 raise DomainError(
@@ -58,34 +58,27 @@ class LpSolution:
     assignment: tuple[Fraction, ...] | None
 
 
-def make_lp(sense, objective, constraints, bounds=None) -> LinearProgram:
-    """Coerce plain numbers into a LinearProgram; default bound is [0, +inf)."""
+def make_lp(sense, objective, constraints) -> LinearProgram:
+    """Coerce plain numbers into a LinearProgram over x >= 0."""
     objective = tuple(Fraction(c) for c in objective)
     rows = []
     for coeffs, rel, rhs in constraints:
         rows.append((tuple(Fraction(c) for c in coeffs), rel, Fraction(rhs)))
-    if bounds is None:
-        bounds = [(Fraction(0), None)] * len(objective)
-    fixed = tuple(
-        (None if lo is None else Fraction(lo), None if hi is None else Fraction(hi)) for lo, hi in bounds
-    )
-    return LinearProgram(sense, objective, tuple(rows), fixed)
+    return LinearProgram(sense, objective, tuple(rows))
 
 
-def _validate(program: LinearProgram, assignment, value, rows, costs, u, duals) -> None:
+def _validate(program: LinearProgram, assignment, value, duals) -> None:
     """Exact optimality certificate; exact re-validation is part of solve_lp's contract.
 
-    `assignment` must meet every bound and constraint of `program` and attain
-    `value`.  `u` solves the standard form behind it: minimise `costs` over
-    `rows` with u >= 0.  `duals` must be a feasible dual of that form (sign
-    per relation, no negative reduced cost) with the same objective, which
-    proves `u` optimal by weak duality.
+    `assignment` must be nonnegative, meet every constraint of `program` and
+    attain `value`.  `duals`, one per constraint, must be a feasible dual of
+    minimising `sign * objective` (sign per relation, no negative reduced
+    cost) with objective `sign * value`, which proves `assignment` optimal
+    by weak duality.
     """
-    for k, (lo, hi) in enumerate(program.bounds):
-        if lo is not None and assignment[k] < lo:
-            raise ZeroleakError("internal_error", f"solver broke lower bound on variable {k}")
-        if hi is not None and assignment[k] > hi:
-            raise ZeroleakError("internal_error", f"solver broke upper bound on variable {k}")
+    for k, x in enumerate(assignment):
+        if x < 0:
+            raise ZeroleakError("internal_error", f"solver broke x >= 0 on variable {k}")
     for coeffs, rel, rhs in program.constraints:
         lhs = sum(c * x for c, x in zip(coeffs, assignment) if c)
         ok = lhs <= rhs if rel == LESS_EQUAL else lhs >= rhs if rel == GREATER_EQUAL else lhs == rhs
@@ -95,83 +88,30 @@ def _validate(program: LinearProgram, assignment, value, rows, costs, u, duals) 
     if achieved != value:
         raise ZeroleakError("internal_error", "solver value does not match assignment")
 
-    reduced = list(costs)
-    for (coeffs, rel, _rhs), y in zip(rows, duals):
+    sign = 1 if program.sense == "min" else -1
+    reduced = [sign * c for c in program.objective]
+    for (coeffs, rel, _rhs), y in zip(program.constraints, duals):
         if (rel == LESS_EQUAL and y > 0) or (rel == GREATER_EQUAL and y < 0):
             raise ZeroleakError("internal_error", f"dual of a {rel} row has the wrong sign")
         if y:
             reduced = [r - y * a if a else r for r, a in zip(reduced, coeffs)]
     if any(r < 0 for r in reduced):
         raise ZeroleakError("internal_error", "dual certificate has a negative reduced cost")
-    primal = sum(c * x for c, x in zip(costs, u))
-    dual = sum(y * rhs for (_coeffs, _rel, rhs), y in zip(rows, duals))
-    if primal != dual:
+    dual = sum(y * rhs for (_coeffs, _rel, rhs), y in zip(program.constraints, duals))
+    if dual != sign * value:
         raise ZeroleakError("internal_error", "primal and dual objectives differ")
 
 
 def solve_lp(program: LinearProgram) -> LpSolution:
-    """Exact optimum with deterministic pivoting.
+    """Exact optimum over x >= 0 with deterministic pivoting.
 
     Infeasible and unbounded programs are reported through the status field,
     never as exceptions.  Optimal solutions are certified before they are
-    returned: the primal against every constraint and bound, the dual read
-    from the final tableau against the standard form.  Each pivot is charged
-    to the `lp_pivots` work budget.
+    returned: the primal against x >= 0 and every constraint, the dual read
+    from the final tableau against the program itself.  Each pivot is
+    charged to the `lp_pivots` work budget.
     """
-    width = len(program.objective)
-
-    # --- substitute every variable into a nonnegative one -----------------
-    # entries: ("shift", k, lo) x_k = lo + u      | ("mirror", k, hi) x_k = hi - u
-    #          ("free", k)      x_k = u - w (two columns, w right after u)
-    plan: list[tuple] = []
-    col_of_var: list[int] = []
-    ncols = 0
-    upper_rows: list[tuple[int, Fraction]] = []  # (column, cap) for finite [lo, hi]
-    for k, (lo, hi) in enumerate(program.bounds):
-        col_of_var.append(ncols)
-        if lo is not None:
-            if hi is not None:
-                if hi < lo:
-                    return LpSolution("infeasible", None, None)
-                upper_rows.append((ncols, hi - lo))
-            plan.append(("shift", k, lo))
-            ncols += 1
-        elif hi is not None:
-            plan.append(("mirror", k, hi))
-            ncols += 1
-        else:
-            plan.append(("free", k))
-            ncols += 2
-
-    def to_cols(coeffs) -> list[Fraction]:
-        row = [Fraction(0)] * ncols
-        for entry in plan:
-            kind, k = entry[0], entry[1]
-            c = coeffs[k]
-            if c == 0:
-                continue
-            col = col_of_var[k]
-            if kind == "shift":
-                row[col] += c
-            elif kind == "mirror":
-                row[col] -= c
-            else:
-                row[col] += c
-                row[col + 1] -= c
-        return row
-
-    offsets = [(entry[1], entry[2]) for entry in plan if entry[0] != "free" and entry[2] != 0]
-
-    def shift_constant(coeffs) -> Fraction:
-        return sum((coeffs[k] * offset for k, offset in offsets), Fraction(0))
-
-    rows: list[tuple[list[Fraction], str, Fraction]] = []
-    for coeffs, rel, rhs in program.constraints:
-        rows.append((to_cols(coeffs), rel, rhs - shift_constant(coeffs)))
-    for col, cap in upper_rows:
-        row = [Fraction(0)] * ncols
-        row[col] = Fraction(1)
-        rows.append((row, LESS_EQUAL, cap))
+    ncols = len(program.objective)
 
     # --- integer tableau with slack/surplus/artificial columns ------------
     # Each row gets rhs >= 0 and is scaled to integers by the lcm of its
@@ -179,11 +119,11 @@ def solve_lp(program: LinearProgram) -> LpSolution:
     specs = []
     slack_cols = 0
     art_cols = 0
-    for coeffs, rel, rhs in rows:
+    for coeffs, rel, rhs in program.constraints:
         scale = math.lcm(rhs.denominator, *(c.denominator for c in coeffs))
         if rhs < 0:
             scale, rel = -scale, _FLIPPED[rel]
-        specs.append(([c.numerator * (scale // c.denominator) for c in coeffs + [rhs]], rel, scale))
+        specs.append(([c.numerator * (scale // c.denominator) for c in (*coeffs, rhs)], rel, scale))
         slack_cols += rel != EQUAL
         art_cols += rel != LESS_EQUAL
     total_cols = ncols + slack_cols + art_cols
@@ -229,24 +169,23 @@ def solve_lp(program: LinearProgram) -> LpSolution:
 
     # --- phase 2 ----------------------------------------------------------
     sign = 1 if program.sense == "min" else -1
-    costs = [sign * c for c in to_cols(program.objective)]
+    costs = [sign * c for c in program.objective]
     cost_scale = math.lcm(*(c.denominator for c in costs))
     tab.price([c.numerator * (cost_scale // c.denominator) for c in costs] + [0] * (total_cols - ncols))
     if tab.run(art_start) == "unbounded":
         return LpSolution("unbounded", None, None)
 
     d = tab.d
-    u = [Fraction(0)] * ncols
+    assignment = [Fraction(0)] * ncols
     for row, b in zip(tableau, basis):
         if b < ncols:
-            u[b] = Fraction(row[-1], d)
+            assignment[b] = Fraction(row[-1], d)
     # The reduced cost of row k's unit column is -y_k (times d and the cost
     # scale) for the scaled row; a deleted row's column is all zero, so y = 0.
     duals = [Fraction(-tab.obj[j] * m, d * cost_scale) for j, m in zip(units, multipliers)]
-    assignment = tuple(_recover(plan, col_of_var, u, width))
     value = sum((c * x for c, x in zip(program.objective, assignment)), Fraction(0))
-    _validate(program, assignment, value, rows, costs, u, duals)
-    return LpSolution("optimal", value, assignment)
+    _validate(program, assignment, value, duals)
+    return LpSolution("optimal", value, tuple(assignment))
 
 
 class _Tableau:
@@ -322,48 +261,3 @@ def _eliminate(row: list[int], prow: list[int], p: int, e: int, d: int) -> list[
     if f == 0:
         return row if p == d else [x * p // d for x in row]
     return [(x * p - f * y) // d for x, y in zip(row, prow)]
-
-
-def _recover(plan, col_of_var, u, width):
-    values = [Fraction(0)] * width
-    for entry in plan:
-        kind, k = entry[0], entry[1]
-        col = col_of_var[k]
-        if kind == "shift":
-            values[k] = entry[2] + u[col]
-        elif kind == "mirror":
-            values[k] = entry[2] - u[col]
-        else:
-            values[k] = u[col] - u[col + 1]
-    return values
-
-
-# ---------------------------------------------------------------------------
-# Debug serialization ("debug-v1"; not a public wire format)
-# ---------------------------------------------------------------------------
-
-def lp_to_debug_obj(program: LinearProgram) -> dict:
-    return {
-        "format": "debug-v1",
-        "sense": program.sense,
-        "objective": [format_ratio(c) for c in program.objective],
-        "constraints": [
-            {"coeffs": [format_ratio(c) for c in coeffs], "rel": rel, "rhs": format_ratio(rhs)}
-            for coeffs, rel, rhs in program.constraints
-        ],
-        "bounds": [
-            [None if lo is None else format_ratio(lo), None if hi is None else format_ratio(hi)]
-            for lo, hi in program.bounds
-        ],
-    }
-
-
-def solution_to_debug_obj(solution: LpSolution) -> dict:
-    return {
-        "format": "debug-v1",
-        "status": solution.status,
-        "value": None if solution.value is None else format_ratio(solution.value),
-        "assignment": None
-        if solution.assignment is None
-        else [format_ratio(x) for x in solution.assignment],
-    }

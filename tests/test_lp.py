@@ -4,16 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from zeroleak import DomainError, ResourceBudgetError
-from zeroleak.lp import (
-    EQUAL,
-    GREATER_EQUAL,
-    LESS_EQUAL,
-    lp_to_debug_obj,
-    make_lp,
-    solution_to_debug_obj,
-    solve_lp,
-)
+from zeroleak import DomainError, ResourceBudgetError, ZeroleakError
+from zeroleak.lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, _validate, make_lp, solve_lp
 
 
 def test_known_max():
@@ -74,43 +66,24 @@ def test_infeasible():
     assert sol.value is None and sol.assignment is None
 
 
-def test_infeasible_by_bounds():
-    lp = make_lp("max", [1], [], bounds=[(2, 1)])
-    assert solve_lp(lp).status == "infeasible"
-
-
 def test_unbounded():
     lp = make_lp("max", [1, 0], [([0, 1], LESS_EQUAL, 1)])
     assert solve_lp(lp).status == "unbounded"
 
 
-def test_free_and_mirrored_variables():
-    # free variable pushed negative; upper-bounded variable pinned at its cap
-    lp = make_lp(
-        "min",
-        [1, -1],
-        [([1, 1], GREATER_EQUAL, -5)],
-        bounds=[(None, None), (None, 3)],
-    )
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.value == -11
-    assert sol.assignment == (Fraction(-8), Fraction(3))
-
-
 def test_boxed_variables():
-    lp = make_lp("max", [1, 1], [], bounds=[(1, 2), (Fraction(1, 3), Fraction(1, 2))])
+    lp = make_lp("max", [1, 1], _box_rows([(1, 2), (Fraction(1, 3), Fraction(1, 2))]))
     sol = solve_lp(lp)
     assert sol.value == Fraction(5, 2)
     assert sol.assignment == (Fraction(2), Fraction(1, 2))
 
 
 def test_no_variables():
-    lp = make_lp("min", [], [([], LESS_EQUAL, 1)], bounds=[])
+    lp = make_lp("min", [], [([], LESS_EQUAL, 1)])
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.value == 0
-    lp2 = make_lp("min", [], [([], LESS_EQUAL, -1)], bounds=[])
+    lp2 = make_lp("min", [], [([], LESS_EQUAL, -1)])
     assert solve_lp(lp2).status == "infeasible"
 
 
@@ -124,9 +97,6 @@ def test_validation_errors():
     with pytest.raises(DomainError) as e:
         make_lp("min", [1], [([1], "<", 0)])
     assert e.value.code == "bad_lp"
-    with pytest.raises(DomainError) as e:
-        make_lp("min", [1], [], bounds=[(0, None), (0, None)])
-    assert e.value.code == "dimension_mismatch"
 
 
 def test_random_boxed_lps_against_vertex_enumeration():
@@ -142,8 +112,7 @@ def test_random_boxed_lps_against_vertex_enumeration():
             coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(nvars)]
             constraints.append((coeffs, LESS_EQUAL, Fraction(rng.randint(0, 4))))
         bounds = [(Fraction(0), Fraction(rng.randint(1, 3))) for _ in range(nvars)]
-        lp = make_lp("max", objective, constraints, bounds=bounds)
-        sol = solve_lp(lp)
+        sol = solve_lp(make_lp("max", objective, constraints + _box_rows(bounds)))
         assert sol.status == "optimal"  # box is nonempty and bounded
         best = _brute_boxed_max(objective, constraints, bounds)
         assert sol.value == best
@@ -165,7 +134,7 @@ def test_random_fractional_rows_against_vertex_enumeration():
         objective = [frac(-3, 3) for _ in range(nvars)]
         constraints = [([frac(-2, 2) for _ in range(nvars)], LESS_EQUAL, frac(-1, 4)) for _ in range(nrows)]
         bounds = [(Fraction(0), frac(1, 3)) for _ in range(nvars)]
-        sol = solve_lp(make_lp("max", objective, constraints, bounds=bounds))
+        sol = solve_lp(make_lp("max", objective, constraints + _box_rows(bounds)))
         best = _brute_boxed_max(objective, constraints, bounds)
         statuses.add(sol.status)
         if best is None:
@@ -208,6 +177,53 @@ def test_pivots_are_charged_to_the_budget(monkeypatch):
         solve_lp(lp)
     assert e.value.budget_name == "lp_pivots"
     assert e.value.detail["budget"] == "lp_pivots"
+
+
+def test_validate_rejects_each_broken_certificate(monkeypatch):
+    # max 2x + 3y + z s.t. x + y + z <= 4, x + z >= 1, x - y = 0; optimum (2, 2, 0)
+    program = make_lp(
+        "max",
+        [2, 3, 1],
+        [([1, 1, 1], LESS_EQUAL, 4), ([1, 0, 1], GREATER_EQUAL, 1), ([1, -1, 0], EQUAL, 0)],
+    )
+    certificates = []
+
+    def spy(*args):
+        certificates.append(args)
+        _validate(*args)
+
+    monkeypatch.setattr("zeroleak.lp._validate", spy)
+    sol = solve_lp(program)
+    assert sol.value == 10 and sol.assignment == (2, 2, 0)
+    [(_program, assignment, value, duals)] = certificates
+    # min -2x - 3y - z: y <= 0 on the <= row, y >= 0 on the >= row, free on =
+    assert duals == [Fraction(-5, 2), 0, Fraction(1, 2)]
+    _validate(program, assignment, value, duals)
+
+    broken = [
+        ([2, 2, -1], value, duals, "x >= 0 on variable 2"),
+        ([3, 3, 0], value, duals, "broke constraint <= 4"),
+        (assignment, value + 1, duals, "value does not match"),
+        (assignment, value, [Fraction(-5, 2), -1, Fraction(1, 2)], "dual of a >= row has the wrong sign"),
+        (assignment, value, [0, 0, 0], "negative reduced cost"),
+        (assignment, value, [Fraction(-7, 2), 0, Fraction(1, 2)], "objectives differ"),
+    ]
+    for bad_assignment, bad_value, bad_duals, message in broken:
+        with pytest.raises(ZeroleakError, match=message) as e:
+            _validate(program, [Fraction(x) for x in bad_assignment], bad_value, bad_duals)
+        assert e.value.code == "internal_error"
+
+
+def _box_rows(bounds):
+    # each box [lo, hi] as rows: lo > 0 as a >= row, a finite hi as a <= row
+    rows = []
+    for k, (lo, hi) in enumerate(bounds):
+        unit = [1 if j == k else 0 for j in range(len(bounds))]
+        if lo:
+            rows.append((unit, GREATER_EQUAL, lo))
+        if hi is not None:
+            rows.append((unit, LESS_EQUAL, hi))
+    return rows
 
 
 def _brute_boxed_max(objective, constraints, bounds, steps: int = 6):
@@ -260,20 +276,3 @@ def _feasible(point, constraints, bounds):
         if x < lo or x > hi:
             return False
     return True
-
-
-def test_debug_serialization():
-    lp = make_lp("max", [Fraction(1, 2)], [([1], LESS_EQUAL, 1)], bounds=[(0, None)])
-    obj = lp_to_debug_obj(lp)
-    assert obj["format"] == "debug-v1"
-    assert obj["objective"] == ["1/2"]
-    assert obj["constraints"][0] == {"coeffs": ["1/1"], "rel": "<=", "rhs": "1/1"}
-    assert obj["bounds"] == [["0/1", None]]
-    sol = solve_lp(lp)
-    out = solution_to_debug_obj(sol)
-    assert out == {
-        "format": "debug-v1",
-        "status": "optimal",
-        "value": "1/2",
-        "assignment": ["1/1"],
-    }
