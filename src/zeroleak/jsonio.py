@@ -9,6 +9,8 @@ better refused than half-read.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from itertools import chain
 
 from .errors import DomainError
 from .graphs import Graph, make_graph
@@ -69,10 +71,12 @@ def graph_from_obj(obj) -> Graph:
 
 
 def mapping_to_obj(m: StochasticMapping) -> dict:
+    d = m.denominator
+    text = {e: format_ratio(Fraction(e, d)) for e in set(chain.from_iterable(m.counts))}
     return {
         "t": m.t,
         "codewords": list(m.codewords),
-        "rows": [[format_ratio(e) for e in row] for row in m.rows],
+        "rows": [list(map(text.__getitem__, row)) for row in m.counts],
     }
 
 

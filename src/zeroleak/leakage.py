@@ -12,9 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, compress
+from operator import add, itemgetter
 from typing import Callable, NamedTuple
 
-from .budget import AUTOMORPHISM_VERTEX_CAP
+from .budget import AUTOMORPHISM_VERTEX_CAP, WorkMeter
 from .errors import DomainError, ZeroleakError
 from .graphs import (
     Graph,
@@ -57,13 +60,19 @@ class LeakageValue:
 class StochasticMapping:
     """Row-stochastic map from length-t source sequences to named codewords.
 
-    Rows are indexed by the big-endian sequence encoding; entries are exact
-    rationals in [0, 1] and every row sums to one.
+    Rows are indexed by the big-endian sequence encoding.  The matrix is held
+    fraction-free: entry (x, j) is counts[x][j] / denominator, with integer
+    counts in [0, denominator] and every row summing to the denominator.  The
+    constructor checks exactly that for every mapping, however it was built,
+    and then reduces the denominator and the counts to lowest terms, so equal
+    rational matrices compare and hash equal.  `rows` is the same matrix as
+    exact Fractions, derived on first use.
     """
 
     t: int
     codewords: tuple[str, ...]
-    rows: tuple[tuple[Fraction, ...], ...]
+    denominator: int
+    counts: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if not isinstance(self.t, int) or self.t < 1:
@@ -75,35 +84,80 @@ class StochasticMapping:
         for name in self.codewords:
             if not isinstance(name, str) or not name:
                 raise DomainError("bad_mapping", f"codeword name {name!r} must be a nonempty string")
-        if len(self.rows) == 0:
+        d = self.denominator
+        if type(d) is not int or d < 1:
+            raise DomainError("bad_mapping", f"denominator must be a positive integer, got {d!r}")
+        counts = tuple(map(tuple, self.counts))
+        if len(counts) == 0:
             raise DomainError("bad_mapping", "a mapping needs at least one source row")
-        for x, row in enumerate(self.rows):
-            if len(row) != len(self.codewords):
-                raise DomainError("bad_mapping", f"row {x} has {len(row)} entries for {len(self.codewords)} codewords")
-            total = Fraction(0)
-            for e in row:
-                if not isinstance(e, Fraction) or e < 0 or e > 1:
-                    raise DomainError("bad_mapping", f"row {x} entry {e!r} outside [0, 1]")
-                total += e
-            if total != 1:
-                raise DomainError("bad_mapping", f"row {x} sums to {total}, not 1")
+        # whole-matrix checks at C speed; on failure _raise_first_fault names the first bad entry
+        if not (
+            set(map(len, counts)) == {len(self.codewords)}
+            and set(map(type, chain.from_iterable(counts))) == {int}
+            and min(map(min, counts)) >= 0
+            and max(map(max, counts)) <= d
+            and set(map(sum, counts)) == {d}
+        ):
+            _raise_first_fault(counts, len(self.codewords), d)
+        g = math.gcd(d, *chain.from_iterable(counts))
+        if g > 1:
+            d //= g
+            counts = tuple(tuple(map(g.__rfloordiv__, row)) for row in counts)
+        object.__setattr__(self, "denominator", d)
+        object.__setattr__(self, "counts", counts)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The matrix as exact Fractions, row by row."""
+        d = self.denominator
+        return tuple(tuple(Fraction(e, d) for e in row) for row in self.counts)
 
     @property
     def source_count(self) -> int:
-        return len(self.rows)
+        return len(self.counts)
 
     def support(self, codeword_index: int) -> frozenset[int]:
         """Sources given positive probability of this codeword."""
-        return frozenset(x for x in range(len(self.rows)) if self.rows[x][codeword_index] > 0)
+        return frozenset(compress(range(len(self.counts)), map(itemgetter(codeword_index), self.counts)))
+
+
+def _raise_first_fault(counts, width: int, d: int) -> None:
+    """Raise for the first bad row width, entry or row sum, in row order."""
+    for x, row in enumerate(counts):
+        if len(row) != width:
+            raise DomainError("bad_mapping", f"row {x} has {len(row)} entries for {width} codewords")
+        for e in row:
+            if type(e) is not int:
+                raise DomainError("bad_mapping", f"row {x} entry {e!r} outside [0, 1]")
+            if e < 0 or e > d:
+                raise DomainError("bad_mapping", f"row {x} entry {Fraction(e, d)!r} outside [0, 1]")
+        if sum(row) != d:
+            raise DomainError("bad_mapping", f"row {x} sums to {Fraction(sum(row), d)}, not 1")
+    raise ZeroleakError("internal_error", "mapping check failed but no row is at fault")
 
 
 def make_mapping(t: int, codewords, rows) -> StochasticMapping:
-    """Coerce nested row data (ints, strings, Fractions) into a StochasticMapping."""
+    """Coerce nested row data (ints, strings, Fractions) into a StochasticMapping.
+
+    Entries are parsed to Fractions once and scaled to integer counts over
+    the least common denominator.  Every count is as long as that
+    denominator, so entries with many unrelated denominators could make the
+    counts far larger than the input: the words each count needs beyond the
+    first are charged, over all entries, to a `mapping_counts` meter as the
+    denominator grows.
+    """
     try:
-        frozen = tuple(tuple(Fraction(e) for e in row) for row in rows)
+        parsed = [[e if type(e) is Fraction else Fraction(e) for e in row] for row in rows]
     except (ValueError, ZeroDivisionError, TypeError) as exc:
         raise DomainError("bad_mapping", f"unparseable probability entry: {exc}")
-    return StochasticMapping(t, tuple(codewords), frozen)
+    entries = sum(map(len, parsed))
+    meter = WorkMeter("mapping_counts")
+    d = 1
+    for q in {e.denominator for row in parsed for e in row}:
+        d = math.lcm(d, q)
+        meter.check_size(entries * (d.bit_length() // 64), "integer counts over one denominator")
+    counts = tuple(tuple(e.numerator * (d // e.denominator) for e in row) for row in parsed)
+    return StochasticMapping(t, tuple(codewords), d, counts)
 
 
 @dataclass(frozen=True)
@@ -159,10 +213,7 @@ def validate_mapping(m: StochasticMapping, gamma: Graph) -> ValidationReport:
 
 def maximal_leakage(m: StochasticMapping) -> LeakageValue:
     """Sum over codewords of the largest per-source probability, exactly."""
-    total = Fraction(0)
-    for j in range(len(m.codewords)):
-        total += max(row[j] for row in m.rows)
-    return LeakageValue(total)
+    return LeakageValue(Fraction(sum(map(max, zip(*m.counts))), m.denominator))
 
 
 class OptimalLeakage(NamedTuple):
@@ -189,15 +240,14 @@ def optimal_leakage_t(gamma: Graph, t: int) -> OptimalLeakage:
 
     chosen = [(s, w) for s, w in zip(split.sets, split.weights) if w > 0]
     names = tuple("+".join(str(v) for v in s) for s, _ in chosen)
-    coverage = [Fraction(0)] * product.vertex_count
-    for s, w in chosen:
-        for x in s:
-            coverage[x] += w
-    rows = tuple(
-        tuple(w / coverage[x] if x in set(s) else Fraction(0) for s, w in chosen)
-        for x in range(product.vertex_count)
-    )
-    witness = StochasticMapping(t, names, rows)
+    # integer weights W_T = w_T * lcm; row x is W_T / coverage(x) over a common d
+    scale = math.lcm(*(w.denominator for _, w in chosen))
+    columns = [(frozenset(s), w.numerator * (scale // w.denominator)) for s, w in chosen]
+    weights = [[w if x in s else 0 for s, w in columns] for x in range(product.vertex_count)]
+    coverage = [sum(row) for row in weights]
+    d = math.lcm(*coverage)
+    counts = tuple(tuple(w * (d // c) for w in row) for row, c in zip(weights, coverage))
+    witness = StochasticMapping(t, names, d, counts)
     witness_value = maximal_leakage(witness)
     return OptimalLeakage(t, value, witness, witness_value, witness_value.log2_of == value.log2_of)
 
@@ -261,21 +311,18 @@ def optimal_scalar_mapping(gamma: Graph) -> StochasticMapping:
         raise ZeroleakError("internal_error", "optimal coloring produced an empty color class")
 
     names: list[str] = []
-    columns: list[tuple[int, ...]] = []
+    columns: list[frozenset[int]] = []
     for s, mult in zip(family.sets, family.multiplicities):
         base = "+".join(str(v) for v in s)
         if mult == 1:
             names.append(base)
-            columns.append(s)
+            columns.append(frozenset(s))
         else:
             for k in range(1, mult + 1):
                 names.append(f"{base}#{k}")
-                columns.append(s)
-    rows = tuple(
-        tuple(Fraction(1, b) if x in s else Fraction(0) for s in columns)
-        for x in range(gamma.vertex_count)
-    )
-    return StochasticMapping(1, tuple(names), rows)
+                columns.append(frozenset(s))
+    counts = tuple(tuple(1 if x in s else 0 for s in columns) for x in range(gamma.vertex_count))
+    return StochasticMapping(1, tuple(names), b, counts)
 
 
 def merge_codewords(m: StochasticMapping, y1: str, y2: str, gamma: Graph) -> StochasticMapping:
@@ -295,6 +342,13 @@ def merge_codewords(m: StochasticMapping, y1: str, y2: str, gamma: Graph) -> Sto
         j2 = m.codewords.index(y2)
     except ValueError:
         raise DomainError("unknown_codeword", f"no codeword named {y2!r}")
+    merged_name = f"({y1}&{y2})"
+    if merged_name in m.codewords:
+        raise DomainError(
+            "bad_merge",
+            f"the merged codeword name {merged_name!r} is already taken",
+            {"name": merged_name},
+        )
     expected = gamma.vertex_count ** m.t
     if m.source_count != expected:
         raise DomainError(
@@ -311,15 +365,12 @@ def merge_codewords(m: StochasticMapping, y1: str, y2: str, gamma: Graph) -> Sto
         )
     lo, hi = min(j1, j2), max(j1, j2)
     names = list(m.codewords)
-    names[lo] = f"({y1}&{y2})"
+    names[lo] = merged_name
     del names[hi]
-    rows = []
-    for row in m.rows:
-        merged = list(row)
-        merged[lo] = row[j1] + row[j2]
-        del merged[hi]
-        rows.append(tuple(merged))
-    return StochasticMapping(m.t, tuple(names), tuple(rows))
+    columns = list(zip(*m.counts))
+    columns[lo] = tuple(map(add, columns[j1], columns[j2]))
+    del columns[hi]
+    return StochasticMapping(m.t, tuple(names), m.denominator, tuple(zip(*columns)))
 
 
 # ---------------------------------------------------------------------------

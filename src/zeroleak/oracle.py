@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .budget import WorkMeter
 from .errors import DomainError
@@ -135,12 +136,6 @@ def _alphabet_size(m: StochasticMapping) -> int:
     raise DomainError("dimension_mismatch", f"{total} rows is not a t={t} power of an alphabet size")
 
 
-def _integer_view(m: StochasticMapping) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Rows scaled to integers by the common denominator of all entries."""
-    d = math.lcm(*(e.denominator for row in m.rows for e in row))
-    return d, tuple(tuple(int(e * d) for e in row) for row in m.rows)
-
-
 def _sequence_weights(ks, t: int, n: int) -> list[int]:
     """Product prior over sequences from integer symbol masses, unnormalized."""
     weights = []
@@ -156,21 +151,21 @@ def _top_sum(values, g: int) -> int:
     return sum(sorted(values, reverse=True)[:g])
 
 
-def _rho_from_ints(scaled, d: int, fam: GuessFamily, weights) -> Fraction:
+def _rho_from_ints(counts, d: int, fam: GuessFamily, weights) -> Fraction:
     """rho at a sequence prior proportional to `weights` (zeros allowed).
 
     Numerator and denominator are both linear in the prior, so only the
     proportions matter and everything stays in integers until the end.
     """
-    columns = range(len(scaled[0]))
+    columns = list(zip(*counts))
     if fam.kind == "multi":
-        num = sum(_top_sum([weights[x] * scaled[x][j] for x in range(len(weights))], fam.g) for j in columns)
+        num = sum(_top_sum(map(mul, weights, column), fam.g) for column in columns)
         den = _top_sum(weights, fam.g)
     elif fam.kind == "singleton":
-        num = sum(max(weights[x] * scaled[x][j] for x in range(len(weights))) for j in columns)
+        num = sum(max(map(mul, weights, column)) for column in columns)
         den = max(weights)
     else:
-        num = sum(max(sum(weights[x] * scaled[x][j] for x in s) for s in fam.sets) for j in columns)
+        num = sum(max(sum(weights[x] * column[x] for x in s) for s in fam.sets) for column in columns)
         den = max(sum(weights[x] for x in s) for s in fam.sets)
     return Fraction(num, d * den)
 
@@ -189,8 +184,7 @@ def rho_fixed_px(m: StochasticMapping, px, fam: GuessFamily) -> Fraction:
         raise DomainError("zero_mass_symbol", "prior must give every symbol positive mass")
     scale = math.lcm(*(p.denominator for p in probs))
     ks = [int(p * scale) for p in probs]
-    d, scaled = _integer_view(m)
-    return _rho_from_ints(scaled, d, fam, _sequence_weights(ks, m.t, n))
+    return _rho_from_ints(m.counts, m.denominator, fam, _sequence_weights(ks, m.t, n))
 
 
 def worst_case_rho(m: StochasticMapping, fam: GuessFamily, grid: DistributionGrid) -> Fraction:
@@ -200,12 +194,11 @@ def worst_case_rho(m: StochasticMapping, fam: GuessFamily, grid: DistributionGri
     n = _alphabet_size(m)
     if grid.alphabet_size != n:
         raise DomainError("dimension_mismatch", f"grid is over {grid.alphabet_size} symbols, alphabet has {n}")
-    d, scaled = _integer_view(m)
     best = None
     for px in grid.points:
         scale = math.lcm(*(p.denominator for p in px))
         ks = [int(p * scale) for p in px]
-        value = _rho_from_ints(scaled, d, fam, _sequence_weights(ks, m.t, n))
+        value = _rho_from_ints(m.counts, m.denominator, fam, _sequence_weights(ks, m.t, n))
         if best is None or value > best:
             best = value
     return best
@@ -244,8 +237,8 @@ def generate_valid_mapping(
         counts = [0] * len(columns)
         for _ in range(r):
             counts[containing[rng.randrange(len(containing))]] += 1
-        rows.append(tuple(Fraction(c, r) for c in counts))
-    return StochasticMapping(t, tuple(names), tuple(rows))
+        rows.append(tuple(counts))
+    return StochasticMapping(t, tuple(names), r, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +333,7 @@ def verify_multi_guess_floor(
     bad_trial = None
     for trial in range(trials):
         m = generate_valid_mapping(gamma, t, grid.resolution, rng)
-        d, scaled = _integer_view(m)
-        value = _rho_from_ints(scaled, d, fam, uniform)
+        value = _rho_from_ints(m.counts, m.denominator, fam, uniform)
         if worst is None or value < worst:
             worst = value
             if value < floor:

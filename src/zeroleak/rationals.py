@@ -1,8 +1,11 @@
 """Exact rational plumbing.
 
-`fractions.Fraction` is the rational carrier everywhere: it is always reduced,
-keeps a positive denominator, and never rounds.  This module only adds the
-wire format ("p/q" strings) and the display-only bits rendering.
+`fractions.Fraction` carries the rationals of the public results: it is
+always reduced, keeps a positive denominator, and never rounds.  The hot
+inner representations are fraction-free instead: the simplex tableau and
+stochastic mappings hold integers over one common denominator and hand out
+Fractions only at their edges.  This module only adds the wire format ("p/q"
+strings) and the display-only bits rendering.
 """
 
 from __future__ import annotations

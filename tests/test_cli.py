@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -177,6 +178,51 @@ def test_merge_not_mergeable(capsysbinary, tmp_path):
     code, out, err = run_main(capsysbinary, "merge", "--graph", "fixture:k2", "--mapping", path, "a", "b")
     assert code == 1
     assert json.loads(err)["error"]["code"] == "not_mergeable"
+
+
+def test_merge_rejects_a_taken_merged_name(capsysbinary, tmp_path):
+    clash = {
+        "t": 1,
+        "codewords": ["a", "b", "(a&b)"],
+        "rows": [["1/1", "0/1", "0/1"], ["0/1", "0/1", "1/1"], ["0/1", "1/1", "0/1"]],
+    }
+    path = write_json(tmp_path, "clash.json", clash)
+    code, out, err = run_main(capsysbinary, "merge", "--graph", "fixture:e3", "--mapping", path, "a", "b")
+    assert code == 1 and out == b""
+    error = json.loads(err)["error"]
+    assert error["code"] == "bad_merge"
+    assert error["detail"] == {"name": "(a&b)"}
+
+
+# Recorded before mappings moved to integer counts; any drift in a seeded
+# trial or in a scheme's bytes is a change of result, not of representation.
+PINNED_ORACLE = [
+    (("multi-guess-floor", "--t", "2", "--trials", "200"), {"lhs": "41/4", "rhs": "25/4"}),
+    (("merge-closure", "--t", "1", "--trials", "200"), {"lhs": "1/1", "merges": 1197}),
+    (("merge-closure", "--t", "2", "--trials", "6"), {"lhs": "1/1", "merges": 196}),
+]
+PINNED_SHA256 = [
+    (("scheme", "--graph", "fixture:c7"), "f074eb2b67e98394506c31c3bbdca2142e8a985e7a7998335f139ef39f816881"),
+    (("scheme", "--graph", "fixture:fig1_theta"), "e1c5e7af60496f758cfcd27ad24cfa68e37ac7b20f5f27aca77cca10e985caae"),
+    (
+        ("leakage-optimal", "--graph", "fixture:c5", "--t", "2"),
+        "1e6b416bdc12442f3de2a26d7075848665b1cc76392a7142dd93851eb16a28b2",
+    ),
+]
+
+
+def test_pinned_outputs(capsysbinary):
+    for args, expected in PINNED_ORACLE:
+        code, out, _ = run_main(capsysbinary, "oracle", args[0], "--graph", "fixture:c5", "--seed", "1", *args[1:])
+        assert code == 0
+        (report,) = json.loads(out)["reports"]
+        assert report["status"] == "pass"
+        seen = {key: report["witness"].get(key, report.get(key)) for key in expected}
+        assert seen == expected, args
+    for args, digest in PINNED_SHA256:
+        code, out, _ = run_main(capsysbinary, *args)
+        assert code == 0
+        assert hashlib.sha256(out).hexdigest() == digest, args
 
 
 def test_bounds_multi(capsysbinary):

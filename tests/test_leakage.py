@@ -1,15 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zeroleak import (
     BoundsReport,
     DomainError,
     GuessBudget,
     LeakageValue,
+    ResourceBudgetError,
+    StochasticMapping,
     approx_guess_bounds,
     b_fold_coloring_from_weights,
     fractional_chromatic,
+    generate_valid_mapping,
     leakage_rate,
     make_graph,
     make_mapping,
@@ -52,6 +57,78 @@ def test_mapping_validation():
         make_mapping(1, ["y", "z"], [["1/2", "1/4"]])  # row sum
     with pytest.raises(DomainError):
         make_mapping(1, ["y"], [["нет"]])  # unparseable
+
+
+def test_make_mapping_keeps_the_first_fault_message():
+    cases = [
+        ([["2/1"]], ["y"], "row 0 entry Fraction(2, 1) outside [0, 1]"),
+        ([["1/1", "0/1"], ["-1/3", "4/3"]], ["y", "z"], "row 1 entry Fraction(-1, 3) outside [0, 1]"),
+        ([["1/2", "1/4"]], ["y", "z"], "row 0 sums to 3/4, not 1"),
+        ([["1/1", "0/1"], ["1/3", "1/3"]], ["y", "z"], "row 1 sums to 2/3, not 1"),
+        # row order first: a short row 0 is reported before a bad entry in row 1
+        ([["1/1"], ["3/2", "0/1"]], ["y", "z"], "row 0 has 1 entries for 2 codewords"),
+    ]
+    for rows, names, message in cases:
+        with pytest.raises(DomainError) as e:
+            make_mapping(1, names, rows)
+        assert (e.value.code, e.value.message) == ("bad_mapping", message)
+
+
+def test_common_denominator_growth_is_metered(monkeypatch):
+    # 20 unrelated 71-bit denominators: 40 counts of 22 words, 840 words beyond the first
+    rows = [[Fraction(1, 2**70 + k), 1 - Fraction(1, 2**70 + k)] for k in range(1, 41, 2)]
+    monkeypatch.setenv("ZEROLEAK_BUDGET", "800")
+    with pytest.raises(ResourceBudgetError) as e:
+        make_mapping(1, ["y", "z"], rows)
+    assert e.value.budget_name == "mapping_counts"
+    monkeypatch.setenv("ZEROLEAK_BUDGET", "1000")
+    assert make_mapping(1, ["y", "z"], rows).rows == tuple(map(tuple, rows))
+
+
+def test_constructor_checks_integer_counts():
+    names = ("y", "z")
+    cases = [
+        (2, ((True, 1),), "row 0 entry True outside [0, 1]"),
+        (2, ((1, 1), (1.0, 1)), "row 1 entry 1.0 outside [0, 1]"),
+        (0, ((0, 0),), "denominator must be a positive integer, got 0"),
+        (-2, ((-1, -1),), "denominator must be a positive integer, got -2"),
+        (True, ((1, 0),), "denominator must be a positive integer, got True"),
+        (2.0, ((1, 1),), "denominator must be a positive integer, got 2.0"),
+        (2, ((3, -1),), "row 0 entry Fraction(3, 2) outside [0, 1]"),
+        (2, ((1, 1), (-1, 3)), "row 1 entry Fraction(-1, 2) outside [0, 1]"),
+        (4, ((1, 3), (1, 1)), "row 1 sums to 1/2, not 1"),
+        (2, ((1, 1), (2,)), "row 1 has 1 entries for 2 codewords"),
+        (2, (), "a mapping needs at least one source row"),
+    ]
+    for d, counts, message in cases:
+        with pytest.raises(DomainError) as e:
+            StochasticMapping(1, names, d, counts)
+        assert (e.value.code, e.value.message) == ("bad_mapping", message)
+
+
+def test_equal_matrices_have_one_canonical_form():
+    halves = StochasticMapping(1, ("y", "z"), 2, ((1, 1), (2, 0)))
+    quarters = StochasticMapping(1, ("y", "z"), 4, ((2, 2), (4, 0)))
+    assert halves == quarters and hash(halves) == hash(quarters)
+    assert (quarters.denominator, quarters.counts) == (2, ((1, 1), (2, 0)))
+    assert quarters.rows == ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1), Fraction(0)))
+    assert make_mapping(1, ["y", "z"], [["2/4", "1/2"], ["1/1", "0/1"]]) == halves
+    assert StochasticMapping(1, ("y",), 6, [[6], [6]]) == make_mapping(1, ["y"], [["1/1"], ["1/1"]])
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(["c5", "p3", "k3", "fig1", "e2"]),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=8),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_fraction_rows_rebuild_the_same_mapping(name, t, r, duplicate, seed):
+    m = generate_valid_mapping(resolve_fixture(name), t, r, random.Random(seed), duplicate)
+    rebuilt = make_mapping(m.t, m.codewords, m.rows)
+    assert rebuilt == m and hash(rebuilt) == hash(m)
+    assert r % m.denominator == 0
 
 
 def test_validate_mapping():
@@ -220,6 +297,28 @@ def test_merge_codewords_rejections():
     with pytest.raises(DomainError) as e:
         merge_codewords(scheme, names[0], names[1], resolve_fixture("p3"))
     assert e.value.code == "dimension_mismatch"
+
+
+def test_merge_rejects_a_taken_merged_name():
+    m = make_mapping(
+        1,
+        ["a", "b", "(a&b)"],
+        [["1/1", "0/1", "0/1"], ["0/1", "0/1", "1/1"], ["0/1", "1/1", "0/1"]],
+    )
+    with pytest.raises(DomainError) as e:
+        merge_codewords(m, "a", "b", resolve_fixture("e3"))
+    assert e.value.code == "bad_merge"
+    assert e.value.detail == {"name": "(a&b)"}
+    merged = merge_codewords(m, "a", "(a&b)", resolve_fixture("e3"))
+    assert merged.codewords == ("(a&(a&b))", "b")
+
+
+def test_merged_columns_reduce_the_denominator():
+    m = make_mapping(1, ["y", "z"], [["1/4", "3/4"]])
+    assert m.denominator == 4
+    merged = merge_codewords(m, "y", "z", resolve_fixture("e1"))
+    assert (merged.denominator, merged.counts) == (1, ((1,),))
+    assert merged.rows == ((Fraction(1),),)
 
 
 def test_guess_budget_values():
