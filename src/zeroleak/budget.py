@@ -5,9 +5,9 @@ materialization, distribution grids) and the simplex pivots of each LP
 charge their work against a meter so a hostile input fails with a resource
 error instead of hanging.  Each operation creates its own meter, so the
 budget caps one operation, not the process.  MIS enumeration and the graph
-products also check the size of their bitmask rows before building them, and
-`make_mapping` checks the size of its integer counts as their common
-denominator grows.
+products also check the size of their bitmask rows before building them,
+product trace families check theirs (`trace_family`), and `make_mapping`
+checks the size of its integer counts as their common denominator grows.
 The default budget is 2**20 units of search work; the ZEROLEAK_BUDGET
 environment variable overrides it.  The automorphism
 search has a separate hard vertex cap that is not environment-tunable.

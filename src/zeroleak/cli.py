@@ -44,6 +44,7 @@ from .leakage import (
     validate_mapping,
 )
 from .oracle import (
+    DistributionGrid,
     distribution_grid,
     verify_eta_duality,
     verify_mergeability_closure,
@@ -236,6 +237,13 @@ def _cmd_bounds_multi_approx(args) -> dict:
     )
 
 
+def _prior_grid(g: Graph, r: int) -> DistributionGrid:
+    """The prior grid on g's vertices; an empty graph is refused as every other check refuses it."""
+    if g.vertex_count == 0:
+        raise DomainError("empty_graph", "operation requires a graph with at least one vertex")
+    return distribution_grid(g.vertex_count, r)
+
+
 def _cmd_oracle(args) -> dict:
     for check in args.checks:
         if check not in ORACLE_CHECKS:
@@ -264,12 +272,11 @@ def _cmd_oracle(args) -> dict:
         elif check == "packing":
             if theta is None:
                 raise DomainError("usage", "packing check needs --theta")
-            grid = distribution_grid(theta.vertex_count, args.grid)
-            reports.append(verify_packing_reciprocity(theta, grid))
+            reports.append(verify_packing_reciprocity(theta, _prior_grid(theta, args.grid)))
         elif check == "multi-guess-floor":
             if gamma is None:
                 raise DomainError("usage", "multi-guess-floor check needs --graph")
-            grid = distribution_grid(gamma.vertex_count, args.grid)
+            grid = _prior_grid(gamma, args.grid)
             reports.append(verify_multi_guess_floor(gamma, budget, args.t, grid, args.trials, args.seed))
         else:
             if gamma is None:

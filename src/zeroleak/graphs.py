@@ -460,13 +460,34 @@ def is_vertex_transitive(g: Graph) -> bool:
 # Associated hypergraph
 # ---------------------------------------------------------------------------
 
-def associated_hypergraph(T, theta: Graph, t: int) -> Hypergraph:
-    """Hypergraph on T whose hyperedges are the nonempty traces of closed
-    neighborhoods of the t-fold AND power of theta.
+def rank_masks(masks, within: int) -> tuple[int, ...]:
+    """Each mask's bits inside `within`, renumbered by rank: the k-th lowest
+    set bit of `within` becomes bit k.  Bits outside `within` are dropped.
+    """
+    runs = []  # (lowest bit, mask of its length, first rank) per run of ones in within
+    rank = 0
+    rest = within
+    while rest:
+        low = (rest & -rest).bit_length() - 1
+        ones = rest >> low
+        length = (ones ^ (ones + 1)).bit_length() - 1
+        runs.append((low, (1 << length) - 1, rank))
+        rank += length
+        rest ^= ((1 << length) - 1) << low
+    return tuple(sum(((m >> low) & run) << first for low, run, first in runs) for m in masks)
 
-    T is expected to be a maximal independent set of the companion confusion
-    graph's OR power (the caller validates that); here T only needs to be a
-    nonempty set of in-range sequence indices.
+
+def _canonical(masks) -> tuple[int, ...]:
+    """Masks in the order of their ascending bit lists, compared lexicographically."""
+    return tuple(sorted(masks, key=_bits))
+
+
+def trace_masks(T, theta: Graph, t: int) -> tuple[int, ...]:
+    """The distinct nonempty traces on T of the closed neighbourhoods of
+    theta's t-fold AND power, as masks over the ranks of T's sorted members.
+
+    Traces are ordered by their member lists, compared lexicographically.
+    T only needs to be a nonempty set of in-range sequence indices.
     """
     _require_nonempty(theta)
     if t < 1:
@@ -481,9 +502,48 @@ def associated_hypergraph(T, theta: Graph, t: int) -> Hypergraph:
     mask = 0
     for v in members:
         mask |= 1 << v
-    traces = {row & mask for row in _closed_power_rows(theta, t)}
+    traces = set(rank_masks(_closed_power_rows(theta, t), mask))
     traces.discard(0)
-    return Hypergraph(members, tuple(sorted(tuple(_bits(trace)) for trace in traces)))
+    return _canonical(traces)
+
+
+def product_traces(families) -> tuple[int, tuple[int, ...]]:
+    """(width, traces) of T = S1 x ... x St from each factor's (|Si|, traces).
+
+    The trace of a product neighbourhood on a product set is the product of
+    the factors' traces, so the family is the Kronecker product of the
+    factor families.  T's members in sorted order are lexicographic in the
+    coordinate ranks, so the trace A x B is A's mask spread to one bit per
+    block of B's width, times B's mask.  The result is the family
+    `trace_masks` gives for T, in the same order.  Its size, traces times
+    64-bit words each, is checked against a `trace_family` meter before it
+    is built.
+    """
+    width, count = 1, 1
+    for w, masks in families:
+        width *= w
+        count *= len(masks)
+    WorkMeter("trace_family").check_size(count * -(-width // 64), "product trace family")
+    width, product = 1, (1,)
+    for w, masks in families:
+        spread = [_spread(a, w) for a in product]
+        product = tuple(s * b for s in spread for b in masks)
+        width *= w
+    return width, _canonical(product)
+
+
+def associated_hypergraph(T, theta: Graph, t: int) -> Hypergraph:
+    """Hypergraph on T whose hyperedges are the nonempty traces of closed
+    neighborhoods of the t-fold AND power of theta.
+
+    T is expected to be a maximal independent set of the companion confusion
+    graph's OR power (the caller validates that); here T only needs to be a
+    nonempty set of in-range sequence indices.  The hyperedges are
+    `trace_masks` read back as vertex tuples, in its order.
+    """
+    masks = trace_masks(T, theta, t)
+    members = tuple(sorted(set(T)))
+    return Hypergraph(members, tuple(tuple(members[r] for r in _bits(m)) for m in masks))
 
 
 @lru_cache(maxsize=None)

@@ -9,6 +9,7 @@ rational whose log2 is the leakage in bits.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -22,21 +23,21 @@ from .errors import DomainError, ZeroleakError
 from .graphs import (
     Graph,
     VertexSetFamily,
-    associated_hypergraph,
     first_edge_within,
     independence_number,
     is_vertex_transitive,
     make_family,
     maximal_independent_sets,
-    mis_of_or_power,
     or_power,
+    product_traces,
+    trace_masks,
 )
 from .programs import (
-    covering_number,
     fractional_chromatic,
-    fractional_covering,
+    fractional_cover,
     fractional_packing,
     maximin_eta,
+    min_cover_size,
 )
 from .rationals import bits_display
 
@@ -537,12 +538,13 @@ def multi_guess_bounds(gamma: Graph, budget: GuessBudget) -> BoundsReport:
     )
 
 
-def _max_fractional_covering(gamma: Graph, theta: Graph) -> Fraction:
-    best = Fraction(0)
-    for T in maximal_independent_sets(gamma):
-        value = fractional_covering(associated_hypergraph(T, theta, 1)).value
-        best = max(best, value)
-    return best
+def _base_trace_families(gamma: Graph, theta: Graph) -> list[tuple[int, tuple[int, ...]]]:
+    """(|S|, trace masks of S) for each maximal independent set S of gamma, at t = 1."""
+    return [(len(S), trace_masks(S, theta, 1)) for S in maximal_independent_sets(gamma)]
+
+
+def _max_fractional_covering(families, kf_cache: dict) -> Fraction:
+    return max(fractional_cover((1 << w) - 1, masks, range(w), kf_cache)[0] for w, masks in families)
 
 
 def _approx_guess_sides(
@@ -568,7 +570,7 @@ def approx_guess_bounds(gamma: Graph, theta: Graph) -> BoundsReport:
     """
     _require_same_vertices(gamma, theta)
     packing = fractional_packing(theta).value
-    kf_max = _max_fractional_covering(gamma, theta)
+    kf_max = _max_fractional_covering(_base_trace_families(gamma, theta), {})
     lower, chi, provenance = _approx_guess_sides(gamma, packing, kf_max)
     return BoundsReport(LeakageValue(lower), LeakageValue(chi), lower == chi, tuple(provenance))
 
@@ -580,15 +582,27 @@ def multi_approx_guess_bounds(gamma: Graph, theta: Graph, budget: GuessBudget) -
     hypergraphs of the t-fold powers; its growth floor is the best fractional
     covering value at t = 1.  The rate bounds are those of the single
     approximate guess, and a subexponential budget collapses to it outright.
+
+    Every maximal independent set of gamma's OR power is a product
+    S1 x ... x St of base sets, and its trace family is the product of the
+    base sets' trace families, so the cap never builds the powers: it takes
+    the covering number once per tuple of distinct base families.
     """
     _require_same_vertices(gamma, theta)
-    kf_max = _max_fractional_covering(gamma, theta)
+    families = _base_trace_families(gamma, theta)
+    kf_cache: dict = {}
+    kf_max = _max_fractional_covering(families, kf_cache)
+    distinct = tuple(dict.fromkeys(families))
+    alpha = max(w for w, _ in families)
 
     def cap_at(t: int) -> int:
-        return max(
-            covering_number(associated_hypergraph(T, theta, t))
-            for T in mis_of_or_power(gamma, t)
-        )
+        meter = WorkMeter("mis_enumeration")
+        meter.check_size(len(families) ** t * alpha**t, "product MIS family")
+        best = 0
+        for combo in itertools.product(distinct, repeat=t):
+            width, masks = product_traces(combo)
+            best = max(best, min_cover_size((1 << width) - 1, masks, range(width), kf_cache))
+        return best
 
     if not _budget_fits(budget, kf_max, cap_at):
         raise DomainError(

@@ -3,19 +3,21 @@
 Four linear programs (fractional chromatic number, maximin split weight,
 fractional covering of a hypergraph, fractional closed-neighborhood packing)
 plus exact integer set cover.  All values are exact rationals from the
-simplex in `lp`; the covering solver adds an inclusion-based presolve and a
-result cache because product-identity checks solve thousands of tiny
-instances.
+simplex in `lp`.  The covering core works on hyperedges as int masks over
+vertex ranks, with an inclusion-based presolve and a per-operation cache of
+LP optima by rank-space shape, because a covering search and the
+approximate-guess bounds solve many tiny instances of few shapes.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .budget import WorkMeter
 from .errors import DomainError, ZeroleakError
-from .graphs import Graph, Hypergraph, closed_neighborhood, maximal_independent_sets
+from .graphs import Graph, Hypergraph, closed_neighborhood, maximal_independent_sets, rank_masks
 from .lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LpSolution, make_lp, solve_lp
 
 
@@ -81,54 +83,57 @@ def maximin_eta(g: Graph) -> WeightedFamily:
 # ---------------------------------------------------------------------------
 # Hypergraph covering
 # ---------------------------------------------------------------------------
+#
+# The covering core works on int masks: bit r of an edge stands for the
+# vertex of rank r.  A kf cache is a dict from a covering instance's shape to
+# its LP optimum; whoever starts a top-level operation creates one and passes
+# it down, so the cache lives for one operation.
 
-def _check_exposed(vertices, edges) -> None:
-    covered = set()
+def _check_exposed(universe: int, edges, ids) -> None:
+    covered = 0
     for e in edges:
         covered |= e
-    for v in vertices:
-        if v not in covered:
-            raise DomainError("exposed_vertex", f"vertex {v} is in no hyperedge", {"vertex": v})
+    exposed = universe & ~covered
+    if exposed:
+        v = ids[(exposed & -exposed).bit_length() - 1]
+        raise DomainError("exposed_vertex", f"vertex {v} is in no hyperedge", {"vertex": v})
 
 
-def _presolve(vertices, edges):
+def _presolve(width: int, edges):
     """Drop dominated structure without changing the covering optimum.
 
     A hyperedge strictly inside another can always hand its weight to the
     superset.  A vertex whose incident edges all contain some other vertex is
-    covered whenever that vertex is, so its constraint is implied.
+    covered whenever that vertex is, so its constraint is implied.  Returns
+    the kept vertices as a mask and the kept edges' indices.
     """
-    keep_edges = []
-    for i, e in enumerate(edges):
-        if any(e < f for f in edges):
-            continue
-        keep_edges.append(i)
-    incidence = {}
-    for v in vertices:
-        incidence[v] = frozenset(i for i in keep_edges if v in edges[i])
-    keep_vertices = []
-    for v in vertices:
-        dominated = False
-        for w in vertices:
-            if w == v:
-                continue
-            if incidence[w] < incidence[v] or (incidence[w] == incidence[v] and w < v):
-                dominated = True
-                break
+    keep_edges = [i for i, e in enumerate(edges) if not any(e & f == e != f for f in edges)]
+    incidence = [0] * width
+    for j, i in enumerate(keep_edges):
+        for v in range(width):
+            if edges[i] >> v & 1:
+                incidence[v] |= 1 << j
+    keep_vertices = 0
+    for v, mine in enumerate(incidence):
+        dominated = any(
+            other & mine == other and (other != mine or w < v)
+            for w, other in enumerate(incidence)
+            if w != v
+        )
         if not dominated:
-            keep_vertices.append(v)
+            keep_vertices |= 1 << v
     return keep_vertices, keep_edges
 
 
-_kf_cache: dict[tuple, tuple[Fraction, tuple[Fraction, ...]]] = {}
+def _kf_lp(edges: tuple[int, ...], kf_cache: dict):
+    """Fractional covering optimum of rank masks that cover ranks 0..k-1, cached by shape.
 
-
-def _kf_lp(vertices: tuple[int, ...], edges: tuple[frozenset, ...]):
-    """Fractional covering optimum for an exposed-free instance, cached by shape."""
-    index = {v: i for i, v in enumerate(vertices)}
-    key = (len(vertices), tuple(sorted(tuple(sorted(index[v] for v in e)) for e in edges)))
-    order = sorted(range(len(edges)), key=lambda i: tuple(sorted(index[v] for v in edges[i])))
-    hit = _kf_cache.get(key)
+    The shape is the sorted edge masks, which also fix k.  A hit maps the
+    stored weights back through the sort, equal masks in index order.
+    """
+    order = sorted(range(len(edges)), key=edges.__getitem__)
+    key = tuple(edges[i] for i in order)
+    hit = kf_cache.get(key)
     if hit is not None:
         value, canon_weights = hit
         weights = [Fraction(0)] * len(edges)
@@ -136,78 +141,104 @@ def _kf_lp(vertices: tuple[int, ...], edges: tuple[frozenset, ...]):
             weights[i] = canon_weights[slot]
         return value, tuple(weights)
 
-    keep_vertices, keep_edges = _presolve(vertices, edges)
+    union = 0
+    for e in edges:
+        union |= e
+    width = union.bit_length()
+    keep_vertices, keep_edges = _presolve(width, edges)
     weights = [Fraction(0)] * len(edges)
-    full = next((i for i in keep_edges if all(v in edges[i] for v in keep_vertices)), None)
+    full = next((i for i in keep_edges if edges[i] & keep_vertices == keep_vertices), None)
     if full is not None:
         value = Fraction(1)
         weights[full] = Fraction(1)
     else:
         constraints = []
-        for v in keep_vertices:
-            row = [Fraction(1) if v in edges[i] else Fraction(0) for i in keep_edges]
-            constraints.append((row, GREATER_EQUAL, Fraction(1)))
+        for v in range(width):
+            if keep_vertices >> v & 1:
+                row = [Fraction(1) if edges[i] >> v & 1 else Fraction(0) for i in keep_edges]
+                constraints.append((row, GREATER_EQUAL, Fraction(1)))
         program = make_lp("min", [Fraction(1)] * len(keep_edges), constraints)
         solution = _optimal(solve_lp(program), "fractional covering")
         value = solution.value
         for i, w in zip(keep_edges, solution.assignment):
             weights[i] = w
 
-    canon_weights = tuple(weights[i] for i in order)
-    _kf_cache[key] = (value, canon_weights)
+    kf_cache[key] = (value, tuple(weights[i] for i in order))
     return value, tuple(weights)
 
 
+def fractional_cover(universe: int, edges: tuple[int, ...], ids, kf_cache: dict):
+    """(value, edge weights) of the covering LP of mask edges over `universe`.
+
+    `ids[r]` names rank r in the `exposed_vertex` error.
+    """
+    _check_exposed(universe, edges, ids)
+    return _kf_lp(rank_masks(edges, universe), kf_cache)
+
+
+def min_cover_size(universe: int, edges: tuple[int, ...], ids, kf_cache: dict) -> int:
+    """Fewest mask edges whose union is `universe`, by branch and bound.
+
+    A greedy cover (most new vertices, lowest index on ties) is the first
+    incumbent.  Each node of an explicit-stack search charges one
+    `set_cover_search` unit, is pruned when its size plus the ceiling of its
+    residual LP optimum cannot beat the incumbent, and otherwise branches on
+    the uncovered vertex in the fewest edges (lowest rank on ties), trying
+    its edges by residual LP weight, descending, then by index.
+    """
+    _check_exposed(universe, edges, ids)
+    meter = WorkMeter("set_cover_search")
+
+    uncovered = universe
+    best_known = 0
+    while uncovered:
+        best = max(range(len(edges)), key=lambda i: ((edges[i] & uncovered).bit_count(), -i))
+        uncovered &= ~edges[best]
+        best_known += 1
+
+    ranks = range(universe.bit_length())
+    containing = [[i for i, e in enumerate(edges) if e >> v & 1] for v in ranks]
+    pivot_order = sorted(ranks, key=lambda v: (len(containing[v]), v))
+    stack = [(universe, 0)]
+    while stack:
+        uncovered, chosen = stack.pop()
+        meter.spend(1)
+        if not uncovered:
+            best_known = min(best_known, chosen)
+            continue
+        value, weights = _kf_lp(rank_masks(edges, uncovered), kf_cache)
+        if chosen + math.ceil(value) >= best_known:
+            continue
+        pivot = next(v for v in pivot_order if uncovered >> v & 1)
+        candidates = sorted(containing[pivot], key=lambda i: (-weights[i], i))
+        stack.extend((uncovered & ~edges[i], chosen + 1) for i in reversed(candidates))
+    return best_known
+
+
+def _hypergraph_masks(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
+    rank = {v: r for r, v in enumerate(h.vertex_ids)}
+    return (1 << len(rank)) - 1, tuple(sum(1 << rank[v] for v in e) for e in h.hyperedges)
+
+
 def fractional_covering(h: Hypergraph) -> WeightedVertices:
-    """LP relaxation of the b-fold covering number; exact and always >= 1."""
-    edges = tuple(frozenset(e) for e in h.hyperedges)
-    _check_exposed(h.vertex_ids, edges)
-    value, weights = _kf_lp(tuple(h.vertex_ids), edges)
+    """LP relaxation of the b-fold covering number, exact.
+
+    At least 1 when there is a vertex; the empty hypergraph has the empty
+    cover, of value 0.
+    """
+    universe, edges = _hypergraph_masks(h)
+    value, weights = fractional_cover(universe, edges, h.vertex_ids, {})
     return WeightedVertices(value, weights)
 
 
 def covering_number(h: Hypergraph) -> int:
     """Smallest number of hyperedges whose union is the vertex set.
 
-    Branch and bound on an uncovered vertex, branches ordered by the residual
-    LP weight of the candidate edges (descending, edge index breaking ties),
-    pruned with ceil of the residual fractional optimum.
+    0 for the empty hypergraph (the empty cover).  The search is
+    `min_cover_size` on the hyperedges as masks over the vertex ranks.
     """
-    edges = tuple(frozenset(e) for e in h.hyperedges)
-    _check_exposed(h.vertex_ids, edges)
-    universe = frozenset(h.vertex_ids)
-    meter = WorkMeter("set_cover_search")
-
-    # greedy warm start for the incumbent
-    uncovered = set(universe)
-    greedy = 0
-    while uncovered:
-        best = max(range(len(edges)), key=lambda i: (len(edges[i] & uncovered), -i))
-        uncovered -= edges[best]
-        greedy += 1
-    best_known = greedy
-
-    def ceil_frac(x: Fraction) -> int:
-        return -((-x.numerator) // x.denominator)
-
-    def search(uncovered: frozenset, chosen: int) -> None:
-        nonlocal best_known
-        meter.spend(1)
-        if not uncovered:
-            best_known = min(best_known, chosen)
-            return
-        vertices = tuple(sorted(uncovered))
-        value, weights = _kf_lp(vertices, tuple(e & uncovered for e in edges))
-        if chosen + ceil_frac(value) >= best_known:
-            return
-        pivot = min(vertices, key=lambda v: (sum(1 for e in edges if v in e), v))
-        candidates = [i for i in range(len(edges)) if pivot in edges[i]]
-        candidates.sort(key=lambda i: (-weights[i], i))
-        for i in candidates:
-            search(uncovered - edges[i], chosen + 1)
-
-    search(universe, 0)
-    return best_known
+    universe, edges = _hypergraph_masks(h)
+    return min_cover_size(universe, edges, h.vertex_ids, {})
 
 
 def fractional_packing(theta: Graph) -> WeightedVertices:

@@ -208,10 +208,40 @@ PINNED_SHA256 = [
         ("leakage-optimal", "--graph", "fixture:c5", "--t", "2"),
         "1e6b416bdc12442f3de2a26d7075848665b1cc76392a7142dd93851eb16a28b2",
     ),
+    # recorded before the approximate-guess caps were built from product
+    # trace families; {onesT} is an all-ones table budget of length T
+    (
+        ("bounds-multi-approx", "--graph", "fixture:c5", "--theta", "fixture:c5", "--budget", "{ones4}"),
+        "14faac056c127c1d2a3d4a63f600795c13ff2f8d59b8581fec27455bf60bd23c",
+    ),
+    (
+        ("bounds-multi-approx", "--graph", "fixture:c7", "--theta", "fixture:c7", "--budget", "{ones3}"),
+        "9811c827a8383fe48fd8b71ad96b58cc47724c37b97fad7bb1c7a3f938abcdd0",
+    ),
+    (
+        ("bounds-multi-approx", "--graph", "fixture:petersen", "--theta", "fixture:petersen", "--budget", "{ones2}"),
+        "d11e5cf90a3d84d3e9525cef38f76b2eaa4bb57b3415d7c6bc3920988220cf4c",
+    ),
+    (
+        ("bounds-multi-approx", "--graph", "fixture:fig1", "--theta", "fixture:fig1_theta", "--budget", "{ones3}"),
+        "60987d40ad9a7c1bcb7bf69cef1ded35d5fee0015b4c2dcbd529a1fee50343a5",
+    ),
+    (
+        ("bounds-approx", "--graph", "fixture:petersen", "--theta", "fixture:petersen"),
+        "b13e22e89f32c9fbd2bfc802c92da8950b89f3bf7d71f645a74acaa8ebc102db",
+    ),
+    (
+        ("bounds-multi", "--graph", "fixture:petersen", "--budget", "exp:2/1"),
+        "9adfa40df08c7d5f673b9f2165bb7cb79a42cf404b610ffe6365f37e3350480a",
+    ),
 ]
 
 
-def test_pinned_outputs(capsysbinary):
+def test_pinned_outputs(capsysbinary, tmp_path):
+    tables = {
+        f"ones{t}": "table:" + write_json(tmp_path, f"ones{t}.json", {"values": [1] * t, "growth": "1/1"})
+        for t in (2, 3, 4)
+    }
     for args, expected in PINNED_ORACLE:
         code, out, _ = run_main(capsysbinary, "oracle", args[0], "--graph", "fixture:c5", "--seed", "1", *args[1:])
         assert code == 0
@@ -220,7 +250,7 @@ def test_pinned_outputs(capsysbinary):
         seen = {key: report["witness"].get(key, report.get(key)) for key in expected}
         assert seen == expected, args
     for args, digest in PINNED_SHA256:
-        code, out, _ = run_main(capsysbinary, *args)
+        code, out, _ = run_main(capsysbinary, *(a.format_map(tables) for a in args))
         assert code == 0
         assert hashlib.sha256(out).hexdigest() == digest, args
 
@@ -276,6 +306,11 @@ def test_empty_graph_error(capsysbinary, tmp_path):
     obj = json.loads(err)
     assert obj["error"]["code"] == "empty_graph"
     jsonschema.validate(obj, load_schema("error"))
+    # the checks that build a prior grid refuse the graph before the grid
+    for args in (("multi-guess-floor", "--graph", empty), ("packing", "--theta", empty)):
+        code, out, err = run_main(capsysbinary, "oracle", *args)
+        assert code == 1 and out == b""
+        assert json.loads(err)["error"]["code"] == "empty_graph", args
 
 
 def test_usage_errors(capsysbinary):

@@ -23,7 +23,7 @@ from zeroleak import (
     or_product,
     resolve_fixture,
 )
-from zeroleak.graphs import first_edge_within
+from zeroleak.graphs import first_edge_within, product_traces
 from helpers import all_graphs, brute_hypergraph_edges, brute_mis, connected_graphs, coordinate_product, k22
 
 
@@ -305,6 +305,18 @@ def test_product_guard_precedes_allocation():
         with pytest.raises(ResourceBudgetError) as e:
             product(big, big)
         assert e.value.budget_name == "graph_product"
+
+
+def test_product_trace_guard_precedes_allocation(monkeypatch):
+    # ten singleton traces per factor: 1000 traces of 1000 bits, 16 words each
+    singletons = (10, tuple(1 << k for k in range(10)))
+    monkeypatch.setenv("ZEROLEAK_BUDGET", "15999")
+    with pytest.raises(ResourceBudgetError) as e:
+        product_traces([singletons] * 3)
+    assert e.value.budget_name == "trace_family"
+    monkeypatch.setenv("ZEROLEAK_BUDGET", "16000")
+    width, masks = product_traces([singletons] * 3)
+    assert width == 1000 and masks == tuple(1 << k for k in range(1000))
 
 
 def test_associated_hypergraph_matches_the_trace_definition():

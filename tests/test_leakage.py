@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,21 +14,26 @@ from zeroleak import (
     StochasticMapping,
     approx_guess_bounds,
     b_fold_coloring_from_weights,
+    encode_symbols,
     fractional_chromatic,
     generate_valid_mapping,
     leakage_rate,
     make_graph,
+    make_hypergraph,
     make_mapping,
+    maximal_independent_sets,
     maximal_leakage,
     merge_codewords,
     multi_approx_guess_bounds,
+    mis_of_or_power,
     multi_guess_bounds,
     optimal_leakage_t,
     optimal_scalar_mapping,
     resolve_fixture,
     validate_mapping,
 )
-from helpers import k22
+from zeroleak.graphs import product_traces, trace_masks
+from helpers import brute_covering_number, brute_hypergraph_edges, k22
 
 
 def test_leakage_value():
@@ -480,6 +486,54 @@ def test_multi_approx_with_real_exponential_room():
 
     table = multi_approx_guess_bounds(gamma, theta, GuessBudget.table((2, 4), growth=2))
     assert table.lower.log2_of == 1
+
+
+def _product_sets(gamma, t):
+    """(factor tuple, sorted members) of each product of t maximal independent sets."""
+    n = gamma.vertex_count
+    for combo in itertools.product(maximal_independent_sets(gamma), repeat=t):
+        yield combo, tuple(sorted(encode_symbols(s, n) for s in itertools.product(*combo)))
+
+
+def test_product_traces_are_the_traces_of_each_product_set():
+    cases = (("c5", "c5", (1, 2, 3)), ("fig1", "fig1_theta", (1, 2)), ("petersen", "petersen", (2,)))
+    for gamma_name, theta_name, ts in cases:
+        gamma, theta = resolve_fixture(gamma_name), resolve_fixture(theta_name)
+        base = {S: (len(S), trace_masks(S, theta, 1)) for S in maximal_independent_sets(gamma)}
+        for t in ts:
+            seen = set()
+            for combo, T in _product_sets(gamma, t):
+                seen.add(T)
+                assert product_traces([base[S] for S in combo]) == (len(T), trace_masks(T, theta, t))
+            assert seen == set(mis_of_or_power(gamma, t))
+
+
+def test_multi_approx_caps_are_the_brute_force_covering_numbers():
+    # the cap at t is the largest g(t) a table budget may ask for
+    rng = random.Random(53)
+    cases = [(resolve_fixture(a), resolve_fixture(b), t) for a, b, t in (
+        ("c5", "c5", 3), ("c7", "c7", 2), ("fig1", "fig1_theta", 2), ("e3", "e3", 2), ("p3", "p3", 3), ("k3", "k3", 2),
+    )]
+    for _ in range(25):
+        n = rng.randint(2, 4)
+        pairs = list(itertools.combinations(range(n), 2))
+        gamma = make_graph(n, [p for p in pairs if rng.random() < 0.4])
+        theta = make_graph(n, [p for p in pairs if rng.random() < 0.4])
+        cases.append((gamma, theta, 2))
+    for gamma, theta, tmax in cases:
+        caps = [
+            max(
+                brute_covering_number(make_hypergraph(T, brute_hypergraph_edges(T, theta, t)))
+                for _, T in _product_sets(gamma, t)
+            )
+            for t in range(1, tmax + 1)
+        ]
+        multi_approx_guess_bounds(gamma, theta, GuessBudget.table(caps, growth=1))
+        for t in range(1, tmax + 1):
+            over = caps[: t - 1] + [caps[t - 1] + 1]
+            with pytest.raises(DomainError) as e:
+                multi_approx_guess_bounds(gamma, theta, GuessBudget.table(over, growth=1))
+            assert e.value.code == "inadmissible_budget"
 
 
 def test_bounds_report_consistency_guard():

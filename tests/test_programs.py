@@ -5,6 +5,8 @@ import pytest
 
 from zeroleak import (
     DomainError,
+    GuessBudget,
+    approx_guess_bounds,
     covering_number,
     fixture_corpus,
     fractional_chromatic,
@@ -12,9 +14,14 @@ from zeroleak import (
     fractional_packing,
     make_graph,
     make_hypergraph,
+    maximal_independent_sets,
     maximin_eta,
+    multi_approx_guess_bounds,
     resolve_fixture,
 )
+from zeroleak import programs
+from zeroleak.lp import solve_lp
+from zeroleak.programs import fractional_cover
 from helpers import (
     brute_chi_f,
     brute_covering_number,
@@ -148,14 +155,55 @@ def test_covering_random_instances_against_brute_force():
         assert lp.value == brute_fractional_covering(h, 4)
 
 
-def test_covering_cache_respects_vertex_names():
-    # same shape under different ids must map weights onto the right edges
-    a = make_hypergraph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
-    b = make_hypergraph([10, 20, 30], [(10, 20), (20, 30), (10, 30)])
-    ra, rb = fractional_covering(a), fractional_covering(b)
-    assert ra.value == rb.value == Fraction(3, 2)
+def _rank_masks(h):
+    rank = {v: r for r, v in enumerate(h.vertex_ids)}
+    return (1 << len(rank)) - 1, tuple(sum(1 << rank[v] for v in e) for e in h.hyperedges)
+
+
+def test_covering_cache_respects_vertex_names(monkeypatch):
+    # one shape under different ids, and in another edge order, goes through
+    # one cache: one LP, and the weights land on the right edges
+    solves = []
+    monkeypatch.setattr(programs, "solve_lp", lambda program: solves.append(program) or solve_lp(program))
+    a = make_hypergraph([0, 1, 2], [(0, 1), (1,), (2,)])
+    b = make_hypergraph([10, 20, 30], [(10, 20), (20,), (30,)])
+    universe, edges = _rank_masks(a)
+    assert _rank_masks(b) == (universe, edges)
+    shuffled = (edges[2], edges[0], edges[1])
+    cache = {}
+    results = [fractional_cover(universe, e, ids, cache) for e, ids in
+               ((edges, a.vertex_ids), (edges, b.vertex_ids), (shuffled, range(3)))]
+    assert len(solves) == 1 and len(cache) == 1
+    assert results[0] == results[1] == (Fraction(2), (Fraction(1), Fraction(0), Fraction(1)))
+    assert results[2] == (Fraction(2), (Fraction(1), Fraction(1), Fraction(0)))
     for v in b.vertex_ids:
-        assert sum(w for e, w in zip(b.hyperedges, rb.weights) if v in e) >= 1
+        assert sum(w for e, w in zip(b.hyperedges, results[1][1]) if v in e) >= 1
+
+
+def test_covering_the_empty_hypergraph_takes_the_empty_cover():
+    h = make_hypergraph([], [])
+    assert fractional_covering(h) == (Fraction(0), ())
+    assert covering_number(h) == 0
+
+
+def test_no_module_level_container_in_programs_grows():
+    def sizes():
+        return {
+            name: len(value)
+            for name, value in vars(programs).items()
+            if not name.startswith("__") and isinstance(value, (dict, list, set))
+        }
+
+    before = sizes()
+    fig1, theta = resolve_fixture("fig1"), resolve_fixture("fig1_theta")
+    for g in (resolve_fixture("c5"), resolve_fixture("petersen")):
+        h = make_hypergraph(range(g.vertex_count), maximal_independent_sets(g))
+        fractional_covering(h)
+        covering_number(h)
+        approx_guess_bounds(g, g)
+        multi_approx_guess_bounds(g, g, GuessBudget.table((1, 1), growth=1))
+    multi_approx_guess_bounds(fig1, theta, GuessBudget.constant(1))
+    assert sizes() == before
 
 
 def test_integer_cover_of_mis_hypergraph_dominates_chromatic():
