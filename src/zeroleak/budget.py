@@ -6,6 +6,7 @@ charge their work against a meter so a hostile input fails with a resource
 error instead of hanging.  Each operation creates its own meter, so the
 budget caps one operation, not the process.  MIS enumeration and the graph
 products also check the size of their bitmask rows before building them,
+any other first use of a graph's rows checks it against `graph_rows`,
 product trace families check theirs (`trace_family`), and `make_mapping`
 checks the size of its integer counts as their common denominator grows.
 The default budget is 2**20 units of search work; the ZEROLEAK_BUDGET

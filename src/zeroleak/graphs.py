@@ -7,6 +7,7 @@ tuple and index views of a sequence are interchangeable everywhere.
 Each graph carries bitmask rows, computed once on first use: bit u of
 `rows[v]` is set iff uv is an edge.  Products, maximal-independent-set
 enumeration and neighbourhood traces are bit operations on these rows.
+Inside the package a vertex set is an int mask in the same layout.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ class Graph:
     @cached_property
     def rows(self) -> tuple[int, ...]:
         """Neighbour bitmasks: bit u of rows[v] is set iff uv is an edge."""
+        WorkMeter("graph_rows").check_size(_row_words(self.vertex_count), "graph rows")
         rows = [0] * self.vertex_count
         for u, v in self.edges:
             rows[u] |= 1 << v
@@ -71,9 +73,7 @@ def make_graph(n: int, edges, labels=None) -> Graph:
         u, v = pair
         if not isinstance(u, int) or not isinstance(v, int):
             raise DomainError("bad_edge", f"edge endpoints must be integers, got {pair!r}")
-        if u == v:
-            raise DomainError("self_loop", f"self-loop at vertex {u}")
-        normalized.add((min(u, v), max(u, v)))
+        normalized.add((u, v) if u < v else (v, u))
     label_tuple = tuple(labels) if labels is not None else None
     return Graph(n, frozenset(normalized), label_tuple)
 
@@ -108,21 +108,29 @@ def _row_words(n: int) -> int:
     return n * -(-n // 64)
 
 
-def first_edge_within(g: Graph, vertices) -> tuple[int, int] | None:
-    """The first edge (a, b), a < b, with both ends among `vertices`, or None.
+def vertex_mask(vertices) -> int:
+    """The bitmask of a collection of vertices: bit v is set iff v is in it."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def first_edge_within(g: Graph, mask: int) -> tuple[int, int] | None:
+    """The first edge (a, b), a < b, with both ends in the vertex mask, or None.
 
     Edges are ordered by a, then b, so the answer is the first confusable
     pair a scan over the sorted vertices would meet; None means the
     vertices are independent.
     """
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
     rows = g.rows
-    for a in _bits(mask):
+    rest = mask
+    while rest:
+        a = (rest & -rest).bit_length() - 1
         above = (rows[a] & mask) >> (a + 1)
         if above:
             return a, a + (above & -above).bit_length()
+        rest &= rest - 1
     return None
 
 
@@ -499,10 +507,7 @@ def trace_masks(T, theta: Graph, t: int) -> tuple[int, ...]:
     for v in members:
         if not (0 <= v < total):
             raise DomainError("vertex_out_of_range", f"sequence index {v} out of range for |V|^t={total}")
-    mask = 0
-    for v in members:
-        mask |= 1 << v
-    traces = set(rank_masks(_closed_power_rows(theta, t), mask))
+    traces = set(rank_masks(_closed_power_rows(theta, t), vertex_mask(members)))
     traces.discard(0)
     return _canonical(traces)
 

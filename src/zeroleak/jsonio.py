@@ -28,7 +28,7 @@ def load_json_file(path: str, what: str):
             return json.load(f)
     except OSError as exc:
         raise DomainError("unreadable_file", f"cannot read {what} file {path}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or UTF-8, or an integer past the int-string conversion limit
         raise DomainError("bad_json", f"{what} file {path} is not valid JSON: {exc}")
 
 
@@ -58,16 +58,14 @@ def graph_from_obj(obj) -> Graph:
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise DomainError("bad_graph_json", '"edges" must be a list of vertex pairs')
-    pairs = []
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(v, int) and not isinstance(v, bool) for v in e):
+        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
             raise DomainError("bad_graph_json", f"edge {e!r} must be a pair of integers")
-        pairs.append((e[0], e[1]))
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise DomainError("bad_graph_json", '"labels" must be a list of strings')
-    return make_graph(n, pairs, labels)
+    return make_graph(n, edges, labels)
 
 
 def mapping_to_obj(m: StochasticMapping) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
-from operator import add, itemgetter
+from operator import add
 from typing import Callable, NamedTuple
 
 from .budget import AUTOMORPHISM_VERTEX_CAP, WorkMeter
@@ -31,6 +31,7 @@ from .graphs import (
     or_power,
     product_traces,
     trace_masks,
+    vertex_mask,
 )
 from .programs import (
     fractional_chromatic,
@@ -67,7 +68,8 @@ class StochasticMapping:
     constructor checks exactly that for every mapping, however it was built,
     and then reduces the denominator and the counts to lowest terms, so equal
     rational matrices compare and hash equal.  `rows` is the same matrix as
-    exact Fractions, derived on first use.
+    exact Fractions, and `supports` the sources of each codeword as
+    bitmasks, both derived on first use.
     """
 
     t: int
@@ -117,9 +119,11 @@ class StochasticMapping:
     def source_count(self) -> int:
         return len(self.counts)
 
-    def support(self, codeword_index: int) -> frozenset[int]:
-        """Sources given positive probability of this codeword."""
-        return frozenset(compress(range(len(self.counts)), map(itemgetter(codeword_index), self.counts)))
+    @cached_property
+    def supports(self) -> tuple[int, ...]:
+        """Per codeword, the mask of the sources that give it positive probability."""
+        sources = range(len(self.counts))
+        return tuple(vertex_mask(compress(sources, column)) for column in zip(*self.counts))
 
 
 def _raise_first_fault(counts, width: int, d: int) -> None:
@@ -192,21 +196,25 @@ class BoundsReport:
             raise DomainError("bad_bounds", "tight flag must mirror lower == upper")
 
 
-def validate_mapping(m: StochasticMapping, gamma: Graph) -> ValidationReport:
-    """Zero-error check: no codeword may cover two confusable source sequences.
-
-    The witness, when present, is the first offense in codeword order, pairs
-    scanned in ascending order inside each support.
-    """
+def _require_source_rows(m: StochasticMapping, gamma: Graph) -> None:
     expected = gamma.vertex_count ** m.t
     if m.source_count != expected:
         raise DomainError(
             "dimension_mismatch",
             f"mapping has {m.source_count} rows but the graph gives {expected} length-{m.t} sequences",
         )
+
+
+def validate_mapping(m: StochasticMapping, gamma: Graph) -> ValidationReport:
+    """Zero-error check: no codeword may cover two confusable source sequences.
+
+    The witness, when present, is the first offense in codeword order, pairs
+    scanned in ascending order inside each support.
+    """
+    _require_source_rows(m, gamma)
     product = or_power(gamma, m.t)
     for j, name in enumerate(m.codewords):
-        pair = first_edge_within(product, m.support(j))
+        pair = first_edge_within(product, m.supports[j])
         if pair is not None:
             return ValidationReport(False, (name, *pair))
     return ValidationReport(True, None)
@@ -243,8 +251,8 @@ def optimal_leakage_t(gamma: Graph, t: int) -> OptimalLeakage:
     names = tuple("+".join(str(v) for v in s) for s, _ in chosen)
     # integer weights W_T = w_T * lcm; row x is W_T / coverage(x) over a common d
     scale = math.lcm(*(w.denominator for _, w in chosen))
-    columns = [(frozenset(s), w.numerator * (scale // w.denominator)) for s, w in chosen]
-    weights = [[w if x in s else 0 for s, w in columns] for x in range(product.vertex_count)]
+    columns = [(vertex_mask(s), w.numerator * (scale // w.denominator)) for s, w in chosen]
+    weights = [[w if s >> x & 1 else 0 for s, w in columns] for x in range(product.vertex_count)]
     coverage = [sum(row) for row in weights]
     d = math.lcm(*coverage)
     counts = tuple(tuple(w * (d // c) for w in row) for row, c in zip(weights, coverage))
@@ -272,7 +280,8 @@ def b_fold_coloring_from_weights(gamma: Graph, weights) -> FoldedColoring:
     first, and a class trimmed to nothing stays in the family so the size
     accounting (m classes, each worth 1/b) remains honest.
     """
-    sets = maximal_independent_sets(gamma)
+    n = gamma.vertex_count
+    sets = [vertex_mask(s) for s in maximal_independent_sets(gamma)]
     weight_list = [Fraction(w) for w in weights]
     if len(weight_list) != len(sets):
         raise DomainError(
@@ -281,22 +290,21 @@ def b_fold_coloring_from_weights(gamma: Graph, weights) -> FoldedColoring:
         )
     if any(w < 0 for w in weight_list):
         raise DomainError("infeasible_weights", "weights must be nonnegative")
-    for x in range(gamma.vertex_count):
-        if sum(w for s, w in zip(sets, weight_list) if x in s) < 1:
+    for x in range(n):
+        if sum(w for s, w in zip(sets, weight_list) if s >> x & 1) < 1:
             raise DomainError("infeasible_weights", f"vertex {x} is covered to total weight < 1")
 
     b = math.lcm(*(w.denominator for w in weight_list))
-    occurrences: list[set[int]] = []
+    occurrences: list[int] = []
     for s, w in zip(sets, weight_list):
-        copies = w * b
-        occurrences.extend(set(s) for _ in range(int(copies)))
+        occurrences.extend([s] * int(w * b))
 
-    for x in range(gamma.vertex_count):
-        holding = [k for k, occ in enumerate(occurrences) if x in occ]
-        for k in sorted(holding, key=lambda k: (-len(occurrences[k]), k))[: len(holding) - b]:
-            occurrences[k].remove(x)
+    for x in range(n):
+        holding = [k for k, occ in enumerate(occurrences) if occ >> x & 1]
+        for k in sorted(holding, key=lambda k: (-occurrences[k].bit_count(), k))[: len(holding) - b]:
+            occurrences[k] ^= 1 << x
 
-    return FoldedColoring(b, make_family(occurrences))
+    return FoldedColoring(b, make_family([v for v in range(n) if occ >> v & 1] for occ in occurrences))
 
 
 def optimal_scalar_mapping(gamma: Graph) -> StochasticMapping:
@@ -312,17 +320,15 @@ def optimal_scalar_mapping(gamma: Graph) -> StochasticMapping:
         raise ZeroleakError("internal_error", "optimal coloring produced an empty color class")
 
     names: list[str] = []
-    columns: list[frozenset[int]] = []
+    columns: list[int] = []
     for s, mult in zip(family.sets, family.multiplicities):
         base = "+".join(str(v) for v in s)
         if mult == 1:
             names.append(base)
-            columns.append(frozenset(s))
         else:
-            for k in range(1, mult + 1):
-                names.append(f"{base}#{k}")
-                columns.append(frozenset(s))
-    counts = tuple(tuple(1 if x in s else 0 for s in columns) for x in range(gamma.vertex_count))
+            names.extend(f"{base}#{k}" for k in range(1, mult + 1))
+        columns.extend([vertex_mask(s)] * mult)
+    counts = tuple(tuple(s >> x & 1 for s in columns) for x in range(gamma.vertex_count))
     return StochasticMapping(1, tuple(names), b, counts)
 
 
@@ -350,13 +356,8 @@ def merge_codewords(m: StochasticMapping, y1: str, y2: str, gamma: Graph) -> Sto
             f"the merged codeword name {merged_name!r} is already taken",
             {"name": merged_name},
         )
-    expected = gamma.vertex_count ** m.t
-    if m.source_count != expected:
-        raise DomainError(
-            "dimension_mismatch",
-            f"mapping has {m.source_count} rows but the graph gives {expected} length-{m.t} sequences",
-        )
-    pair = first_edge_within(or_power(gamma, m.t), m.support(j1) | m.support(j2))
+    _require_source_rows(m, gamma)
+    pair = first_edge_within(or_power(gamma, m.t), m.supports[j1] | m.supports[j2])
     if pair is not None:
         u, v = pair
         raise DomainError(

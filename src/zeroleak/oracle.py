@@ -15,19 +15,21 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from functools import reduce
+from operator import mul, or_
 
 from .budget import WorkMeter
 from .errors import DomainError
 from .graphs import (
     Graph,
-    and_power,
-    closed_neighborhood,
+    _bits,
+    _closed_power_rows,
     decode_index,
     first_edge_within,
     independence_number,
     mis_of_or_power,
     or_power,
+    vertex_mask,
 )
 from .leakage import (
     GuessBudget,
@@ -68,23 +70,22 @@ class GuessFamily:
 
     @classmethod
     def approx(cls, theta: Graph, t: int) -> "GuessFamily":
-        product = and_power(theta, t)
-        hoods = sorted({closed_neighborhood(product, x) for x in range(product.vertex_count)}, key=sorted)
-        return cls("approx", t, 1, tuple(hoods))
+        return cls("approx", t, 1, _vertex_sets(set(_closed_power_rows(theta, t))))
 
     @classmethod
     def multi_approx(cls, theta: Graph, t: int, g: int) -> "GuessFamily":
-        product = and_power(theta, t)
-        hoods = sorted({closed_neighborhood(product, x) for x in range(product.vertex_count)}, key=sorted)
+        hoods = set(_closed_power_rows(theta, t))
         if not (1 <= g <= len(hoods)):
             raise DomainError("bad_guess_count", f"need 1 <= g <= {len(hoods)}, got {g}")
         meter = WorkMeter("guess_family")
         meter.check_size(math.comb(len(hoods), g), "multi approximate guess family")
-        unions = sorted(
-            {frozenset().union(*combo) for combo in itertools.combinations(hoods, g)},
-            key=sorted,
-        )
-        return cls("multi_approx", t, g, tuple(unions))
+        unions = {reduce(or_, combo) for combo in itertools.combinations(hoods, g)}
+        return cls("multi_approx", t, g, _vertex_sets(unions))
+
+
+def _vertex_sets(masks) -> tuple[frozenset[int], ...]:
+    """Vertex masks as frozensets, ordered by their member lists."""
+    return tuple(frozenset(_bits(m)) for m in sorted(masks, key=_bits))
 
 
 @dataclass(frozen=True)
@@ -226,14 +227,14 @@ def generate_valid_mapping(
         base = "+".join(str(v) for v in s)
         if duplicate_codebook:
             names.extend([f"{base}#1", f"{base}#2"])
-            columns.extend([frozenset(s), frozenset(s)])
+            columns.extend([vertex_mask(s)] * 2)
         else:
             names.append(base)
-            columns.append(frozenset(s))
+            columns.append(vertex_mask(s))
     total = gamma.vertex_count**t
     rows = []
     for x in range(total):
-        containing = [j for j, s in enumerate(columns) if x in s]
+        containing = [j for j, s in enumerate(columns) if s >> x & 1]
         counts = [0] * len(columns)
         for _ in range(r):
             counts[containing[rng.randrange(len(containing))]] += 1
@@ -273,7 +274,7 @@ def verify_packing_reciprocity(theta: Graph, grid: DistributionGrid) -> dict:
     n = theta.vertex_count
     if grid.alphabet_size != n:
         raise DomainError("dimension_mismatch", f"grid is over {grid.alphabet_size} symbols, graph has {n}")
-    hoods = [closed_neighborhood(theta, x) for x in range(n)]
+    hoods = [_bits(row | 1 << x) for x, row in enumerate(theta.rows)]
     best = None
     best_px = None
     for px in grid.points:
@@ -352,11 +353,10 @@ def verify_multi_guess_floor(
 
 
 def _first_mergeable_pair(m: StochasticMapping, product: Graph):
-    supports = [m.support(j) for j in range(len(m.codewords))]
-    for j1 in range(len(m.codewords)):
-        for j2 in range(j1 + 1, len(m.codewords)):
-            if first_edge_within(product, supports[j1] | supports[j2]) is None:
-                return j1, j2
+    supports = m.supports
+    for j1, j2 in itertools.combinations(range(len(supports)), 2):
+        if first_edge_within(product, supports[j1] | supports[j2]) is None:
+            return j1, j2
     return None
 
 

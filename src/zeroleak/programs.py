@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from .budget import WorkMeter
 from .errors import DomainError, ZeroleakError
-from .graphs import Graph, Hypergraph, closed_neighborhood, maximal_independent_sets, rank_masks
+from .graphs import Graph, Hypergraph, maximal_independent_sets, rank_masks, vertex_mask
 from .lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LpSolution, make_lp, solve_lp
 
 
@@ -40,6 +40,13 @@ def _optimal(solution: LpSolution, what: str) -> LpSolution:
     return solution
 
 
+def _mis_rows(g: Graph):
+    """The maximal independent sets, and each vertex's 0/1 row over them."""
+    sets = maximal_independent_sets(g)
+    masks = [vertex_mask(s) for s in sets]
+    return sets, [[s >> x & 1 for s in masks] for x in range(g.vertex_count)]
+
+
 def fractional_chromatic(g: Graph) -> WeightedFamily:
     """Minimum total weight on maximal independent sets covering every vertex once.
 
@@ -48,13 +55,9 @@ def fractional_chromatic(g: Graph) -> WeightedFamily:
     and every cover would still hold.  The optimum is 1 exactly when the
     graph has no edges.
     """
-    sets = maximal_independent_sets(g)
-    n = g.vertex_count
-    constraints = []
-    for x in range(n):
-        row = [Fraction(1) if x in s else Fraction(0) for s in sets]
-        constraints.append((row, GREATER_EQUAL, Fraction(1)))
-    program = make_lp("min", [Fraction(1)] * len(sets), constraints)
+    sets, rows = _mis_rows(g)
+    constraints = [(row, GREATER_EQUAL, 1) for row in rows]
+    program = make_lp("min", [1] * len(sets), constraints)
     solution = _optimal(solve_lp(program), "fractional chromatic")
     return WeightedFamily(solution.value, sets, solution.assignment)
 
@@ -67,15 +70,11 @@ def maximin_eta(g: Graph) -> WeightedFamily:
     only constrained to be nonnegative: the unit sum already keeps each
     kappa, and so the floor z, at most 1.
     """
-    sets = maximal_independent_sets(g)
+    sets, rows = _mis_rows(g)
     m = len(sets)
-    n = g.vertex_count
-    constraints = []
-    for x in range(n):
-        row = [Fraction(1) if x in s else Fraction(0) for s in sets] + [Fraction(-1)]
-        constraints.append((row, GREATER_EQUAL, Fraction(0)))
-    constraints.append(([Fraction(1)] * m + [Fraction(0)], EQUAL, Fraction(1)))
-    program = make_lp("max", [Fraction(0)] * m + [Fraction(1)], constraints)
+    constraints = [(row + [-1], GREATER_EQUAL, 0) for row in rows]
+    constraints.append(([1] * m + [0], EQUAL, 1))
+    program = make_lp("max", [0] * m + [1], constraints)
     solution = _optimal(solve_lp(program), "maximin split")
     return WeightedFamily(solution.value, sets, solution.assignment[:m])
 
@@ -155,9 +154,8 @@ def _kf_lp(edges: tuple[int, ...], kf_cache: dict):
         constraints = []
         for v in range(width):
             if keep_vertices >> v & 1:
-                row = [Fraction(1) if edges[i] >> v & 1 else Fraction(0) for i in keep_edges]
-                constraints.append((row, GREATER_EQUAL, Fraction(1)))
-        program = make_lp("min", [Fraction(1)] * len(keep_edges), constraints)
+                constraints.append(([edges[i] >> v & 1 for i in keep_edges], GREATER_EQUAL, 1))
+        program = make_lp("min", [1] * len(keep_edges), constraints)
         solution = _optimal(solve_lp(program), "fractional covering")
         value = solution.value
         for i, w in zip(keep_edges, solution.assignment):
@@ -250,17 +248,8 @@ def fractional_packing(theta: Graph) -> WeightedVertices:
     if theta.vertex_count == 0:
         raise DomainError("empty_graph", "packing needs a nonempty graph")
     n = theta.vertex_count
-    neighborhoods = []
-    seen = set()
-    for x in range(n):
-        hood = closed_neighborhood(theta, x)
-        if hood not in seen:
-            seen.add(hood)
-            neighborhoods.append(hood)
-    constraints = []
-    for hood in neighborhoods:
-        row = [Fraction(1) if v in hood else Fraction(0) for v in range(n)]
-        constraints.append((row, LESS_EQUAL, Fraction(1)))
-    program = make_lp("max", [Fraction(1)] * n, constraints)
+    neighborhoods = dict.fromkeys(row | 1 << v for v, row in enumerate(theta.rows))
+    constraints = [([hood >> v & 1 for v in range(n)], LESS_EQUAL, 1) for hood in neighborhoods]
+    program = make_lp("max", [1] * n, constraints)
     solution = _optimal(solve_lp(program), "fractional packing")
     return WeightedVertices(solution.value, solution.assignment)

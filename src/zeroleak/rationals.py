@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DomainError
@@ -26,9 +27,12 @@ def parse_ratio(text: str) -> Fraction:
     match = _RATIONAL_RE.match(text.strip())
     if match is None:
         raise DomainError("bad_rational", f"cannot parse rational {text!r}")
-    num = int(match.group(1))
-    den_text = match.group(2)
-    den = int(den_text) if den_text is not None else 1
+    num_text, den_text = match.groups()
+    try:
+        num, den = int(num_text), int(den_text or 1)
+    except ValueError:  # a part longer than the interpreter's int-string conversion limit
+        limit = sys.get_int_max_str_digits()
+        raise DomainError("bad_rational", f"rational {text[:24]}... has a part over {limit} digits long")
     if den == 0:
         raise DomainError("bad_rational", f"zero denominator in {text!r}")
     return Fraction(num, den)

@@ -414,6 +414,40 @@ def test_budget_exceeded_exit_code():
     assert obj["error"]["detail"]["limit"] == 10
 
 
+def test_graph_rows_guard_precedes_allocation(capsysbinary, tmp_path, monkeypatch):
+    # 130 neighbour rows of 130 bits take 390 words
+    n = 130
+    graph = write_json(tmp_path, "path.json", {"n": n, "edges": [[v, v + 1] for v in range(n - 1)]})
+    mapping = write_json(tmp_path, "one.json", {"t": 1, "codewords": ["all"], "rows": [["1/1"]] * n})
+    monkeypatch.setenv("ZEROLEAK_BUDGET", "389")
+    code, out, err = run_main(capsysbinary, "leakage-eval", "--graph", graph, "--mapping", mapping)
+    assert code == 2 and out == b""
+    error = json.loads(err)["error"]
+    assert error["code"] == "budget_exceeded"
+    assert error["detail"]["budget"] == "graph_rows"
+    monkeypatch.setenv("ZEROLEAK_BUDGET", "390")
+    code, out, err = run_main(capsysbinary, "leakage-eval", "--graph", graph, "--mapping", mapping)
+    assert code == 1 and json.loads(err)["error"]["code"] == "invalid_mapping"
+
+
+def test_integers_past_the_conversion_limit_are_domain_errors(capsysbinary, tmp_path):
+    digits = "9" * 5000
+    graph = tmp_path / "big_n.json"
+    graph.write_text('{"n": %s, "edges": []}' % digits)
+    mapping = write_json(tmp_path, "big.json", {"t": 1, "codewords": ["a"], "rows": [[f"{digits}/{digits}"]]})
+    calls = [
+        (("alpha", "--graph", str(graph)), "bad_json"),
+        (("leakage-eval", "--graph", "fixture:e1", "--mapping", mapping), "bad_rational"),
+        (("bounds-multi", "--graph", "fixture:c5", "--budget", f"exp:{digits}/1"), "bad_rational"),
+    ]
+    for argv, expected in calls:
+        code, out, err = run_main(capsysbinary, *argv)
+        assert code == 1 and out == b""
+        error = json.loads(err)
+        jsonschema.validate(error, load_schema("error"))
+        assert error["error"]["code"] == expected
+
+
 def test_subprocess_runs_are_byte_identical():
     commands = [
         ("chif", "--graph", "fixture:petersen"),

@@ -359,4 +359,4 @@ def test_first_edge_within_is_the_first_pair_of_an_ascending_scan():
             ((a, b) for i, a in enumerate(members) for b in members[i + 1:] if g.has_edge(a, b)),
             None,
         )
-        assert first_edge_within(g, chosen) == expect
+        assert first_edge_within(g, sum(1 << v for v in chosen)) == expect

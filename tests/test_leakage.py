@@ -137,6 +137,21 @@ def test_fraction_rows_rebuild_the_same_mapping(name, t, r, duplicate, seed):
     assert r % m.denominator == 0
 
 
+@settings(deadline=None, max_examples=40)
+@given(
+    st.sampled_from(["c5", "p3", "k3", "fig1", "e2"]),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=8),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_supports_are_the_rows_with_a_positive_count(name, t, r, duplicate, seed):
+    m = generate_valid_mapping(resolve_fixture(name), t, r, random.Random(seed), duplicate)
+    assert len(m.supports) == len(m.codewords)
+    for j, support in enumerate(m.supports):
+        assert support == sum(1 << x for x, row in enumerate(m.counts) if row[j] > 0)
+
+
 def test_validate_mapping():
     fig1 = resolve_fixture("fig1")
     good = make_mapping(

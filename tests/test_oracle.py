@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -24,6 +25,7 @@ from zeroleak import (
     verify_packing_reciprocity,
     worst_case_rho,
 )
+from zeroleak.graphs import and_power, closed_neighborhood
 from zeroleak.oracle import _alphabet_size
 from zeroleak.rationals import parse_ratio
 from helpers import k22
@@ -67,6 +69,18 @@ def test_guess_family_approx():
     with pytest.raises(DomainError) as e:
         GuessFamily.multi_approx(theta, 1, 3)
     assert e.value.code == "bad_guess_count"
+
+
+def test_approx_guess_families_are_the_closed_neighborhood_families():
+    for name in ("c5", "c7", "petersen", "fig1_theta", "k3", "p3", "e2"):
+        theta = resolve_fixture(name)
+        for t in (1, 2):
+            power = and_power(theta, t)
+            hoods = sorted({closed_neighborhood(power, x) for x in range(power.vertex_count)}, key=sorted)
+            assert GuessFamily.approx(theta, t).sets == tuple(hoods)
+            for g in range(1, min(2, len(hoods)) + 1):
+                unions = {frozenset().union(*combo) for combo in itertools.combinations(hoods, g)}
+                assert GuessFamily.multi_approx(theta, t, g).sets == tuple(sorted(unions, key=sorted))
 
 
 def test_guess_family_multi_approx_budget():

@@ -1,0 +1,51 @@
+"""The benchmark's traced run reports every per-layer metric it declares.
+
+`perfbench/tracer.py` wraps the package's public functions from outside and
+reads the `cache_info()` of the lru-cached ones; a metric whose source is
+gone is reported as absent.  One traced call per workload family must
+together yield every `per_layer` name of `BENCHMARK.json`, except
+`trace.overhead_s`, which `perfbench/run.py` adds.  Both files are read,
+never edited.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CALLS = [
+    ["chif", "--graph", "fixture:c5"],
+    ["leakage-optimal", "--graph", "fixture:c5", "--t", "2"],
+    ["bounds-multi-approx", "--graph", "fixture:c5", "--theta", "fixture:c5", "--budget", "const:1"],
+    ["oracle", "merge-closure", "--graph", "fixture:c5", "--trials", "2"],
+    ["mis", "--graph", "fixture:c5"],
+]
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_calls_report_every_declared_per_layer_metric(tmp_path):
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("ZEROLEAK_BUDGET", None)
+    stats = []
+    for k, argv in enumerate(CALLS):
+        stats_path = tmp_path / f"stats{k}.json"
+        done = subprocess.run(
+            [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(stats_path), *argv],
+            capture_output=True,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        json.loads(done.stdout)  # the CLI's own answer, untouched by the tracer
+        stats.append(json.loads(stats_path.read_text()))
+    metrics = _load_tracer().layer_metrics(stats)
+    assert declared - {"trace.overhead_s"} - metrics.keys() == set()
