@@ -7,8 +7,10 @@ error instead of hanging.  Each operation creates its own meter, so the
 budget caps one operation, not the process.  MIS enumeration and the graph
 products also check the size of their bitmask rows before building them,
 any other first use of a graph's rows checks it against `graph_rows`,
-product trace families check theirs (`trace_family`), and `make_mapping`
-checks the size of its integer counts as their common denominator grows.
+product trace families check theirs (`trace_family`), `make_mapping`
+checks the size of its integer counts as their common denominator grows,
+and the parametric fixtures c<n>, k<n> and p<n> check their edge count
+(`fixture_edges`) before listing the edges.
 The default budget is 2**20 units of search work; the ZEROLEAK_BUDGET
 environment variable overrides it.  The automorphism
 search has a separate hard vertex cap that is not environment-tunable.

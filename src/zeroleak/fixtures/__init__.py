@@ -2,7 +2,9 @@
 
 `fixture:NAME` on the command line resolves here.  Shipped files win over the
 parametric patterns c<n> (cycle), k<n> (complete), e<n> (edgeless), p<n>
-(path), so the two sources can never disagree about a shipped name.
+(path), so the two sources can never disagree about a shipped name.  A
+parametric fixture checks the number of edges it is about to list against a
+`fixture_edges` meter first, so a huge n fails at once instead of allocating.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import json
 from importlib import resources
 
+from ..budget import WorkMeter
 from ..errors import DomainError
 from ..graphs import Graph, make_graph
 from ..jsonio import graph_from_obj
@@ -32,15 +35,21 @@ SHIPPED = (
 )
 
 
+def _edge_guard(edges: int) -> None:
+    WorkMeter("fixture_edges").check_size(edges, "fixture edge list")
+
+
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise DomainError("bad_fixture_size", f"a cycle needs at least 3 vertices, got {n}")
+    _edge_guard(n)
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise DomainError("bad_fixture_size", f"a complete graph needs at least 1 vertex, got {n}")
+    _edge_guard(n * (n - 1) // 2)
     return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -53,6 +62,7 @@ def edgeless_graph(n: int) -> Graph:
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise DomainError("bad_fixture_size", f"a path needs at least 1 vertex, got {n}")
+    _edge_guard(n - 1)
     return make_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 

@@ -8,20 +8,23 @@ Each graph carries bitmask rows, computed once on first use: bit u of
 `rows[v]` is set iff uv is an edge.  Products, maximal-independent-set
 enumeration and neighbourhood traces are bit operations on these rows.
 Inside the package a vertex set is an int mask in the same layout.
+
+Graphs, hypergraphs and vertex-set families are frozen values
+(`values.FrozenValue`): equal fields give equal graphs with equal hashes,
+which the `lru_cache`d functions here key on.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .budget import AUTOMORPHISM_VERTEX_CAP, WorkMeter
 from .errors import DomainError
+from .values import FrozenValue
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(FrozenValue):
     """Simple undirected graph with optional distinct vertex labels."""
 
     vertex_count: int
@@ -155,8 +158,7 @@ def decode_index(index: int, t: int, base: int) -> tuple[int, ...]:
     return tuple(reversed(out))
 
 
-@dataclass(frozen=True)
-class Hypergraph:
+class Hypergraph(FrozenValue):
     """Vertex list plus a deduplicated family of nonempty hyperedges.
 
     Vertex ids are plain integers: base-graph indices at t=1, encoded sequence
@@ -197,8 +199,7 @@ def make_hypergraph(vertex_ids, hyperedges) -> Hypergraph:
     return Hypergraph(vertices, edges)
 
 
-@dataclass(frozen=True)
-class VertexSetFamily:
+class VertexSetFamily(FrozenValue):
     """Multiset of vertex sets: parallel lists of sets and positive counts.
 
     Used for b-fold colorings and coverings.  A set may be empty: trimming an

@@ -4,14 +4,14 @@ A scheme for t source symbols is a row-stochastic matrix over codewords whose
 columns only mix sources that are never confusable, i.e. each codeword's
 support is independent in the t-fold OR power of the confusion graph.  The
 adversary's advantage is measured multiplicatively and reported as the exact
-rational whose log2 is the leakage in bits.
+rational whose log2 is the leakage in bits.  Mappings, leakage values,
+reports and guess budgets are frozen values (`values.FrozenValue`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
@@ -41,10 +41,10 @@ from .programs import (
     min_cover_size,
 )
 from .rationals import bits_display
+from .values import FrozenValue
 
 
-@dataclass(frozen=True)
-class LeakageValue:
+class LeakageValue(FrozenValue):
     """A leakage stated as the exact rational it is the log2 of."""
 
     log2_of: Fraction
@@ -58,8 +58,7 @@ class LeakageValue:
         return bits_display(self.log2_of)
 
 
-@dataclass(frozen=True)
-class StochasticMapping:
+class StochasticMapping(FrozenValue):
     """Row-stochastic map from length-t source sequences to named codewords.
 
     Rows are indexed by the big-endian sequence encoding.  The matrix is held
@@ -165,8 +164,7 @@ def make_mapping(t: int, codewords, rows) -> StochasticMapping:
     return StochasticMapping(t, tuple(codewords), d, counts)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(FrozenValue):
     """Outcome of a zero-error check; falsy when a confusable pair shares a codeword."""
 
     ok: bool
@@ -180,8 +178,7 @@ class ValidationReport:
         return self.ok
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(FrozenValue):
     """Two-sided leakage bounds with a note for where each side came from."""
 
     lower: LeakageValue
@@ -379,8 +376,7 @@ def merge_codewords(m: StochasticMapping, y1: str, y2: str, gamma: Graph) -> Sto
 # Guessing budgets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GuessBudget:
+class GuessBudget(FrozenValue):
     """How many guesses the adversary may spend at block length t.
 
     Kinds: a constant count, a polynomial t**degree, an exponential

@@ -16,11 +16,11 @@ of rows), not for general-purpose solving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .budget import WorkMeter
 from .errors import DomainError, ZeroleakError
+from .values import FrozenValue
 
 LESS_EQUAL = "<="
 EQUAL = "="
@@ -29,8 +29,7 @@ _RELATIONS = (LESS_EQUAL, EQUAL, GREATER_EQUAL)
 _FLIPPED = {LESS_EQUAL: GREATER_EQUAL, GREATER_EQUAL: LESS_EQUAL, EQUAL: EQUAL}
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(FrozenValue):
     """Optimize `objective` over x >= 0 subject to every row of `constraints`."""
 
     sense: str  # "min" or "max"
@@ -51,8 +50,7 @@ class LinearProgram:
                 raise DomainError("bad_lp", f"unknown relation {rel!r}")
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(FrozenValue):
     status: str  # "optimal", "infeasible", "unbounded"
     value: Fraction | None
     assignment: tuple[Fraction, ...] | None

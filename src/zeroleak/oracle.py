@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import mul, or_
@@ -40,10 +39,10 @@ from .leakage import (
 )
 from .programs import fractional_chromatic, fractional_packing, maximin_eta
 from .rationals import format_ratio
+from .values import FrozenValue
 
 
-@dataclass(frozen=True)
-class GuessFamily:
+class GuessFamily(FrozenValue):
     """The candidate sets an adversary can bet on with one shot.
 
     Sets contain sequence indices.  For the multi-guess kind every g-subset of
@@ -88,8 +87,7 @@ def _vertex_sets(masks) -> tuple[frozenset[int], ...]:
     return tuple(frozenset(_bits(m)) for m in sorted(masks, key=_bits))
 
 
-@dataclass(frozen=True)
-class DistributionGrid:
+class DistributionGrid(FrozenValue):
     """All priors on n symbols with denominator dividing r, plus the uniform one."""
 
     resolution: int

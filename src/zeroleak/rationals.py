@@ -15,7 +15,7 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, ResourceBudgetError
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
@@ -39,9 +39,19 @@ def parse_ratio(text: str) -> Fraction:
 
 
 def format_ratio(value: Fraction) -> str:
-    """Render a Fraction as "p/q", always including the denominator."""
+    """Render a Fraction as "p/q", always including the denominator.
+
+    A part longer than the interpreter's int-string conversion limit cannot
+    be written out; that is a resource limit of the answer, not bad input.
+    """
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ResourceBudgetError(
+            "int_max_str_digits", limit, f"an answer has a rational with a part over {limit} digits long"
+        )
 
 
 def bits_display(value: Fraction) -> float:

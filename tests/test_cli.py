@@ -448,6 +448,33 @@ def test_integers_past_the_conversion_limit_are_domain_errors(capsysbinary, tmp_
         assert error["error"]["code"] == expected
 
 
+def test_fixture_edge_guard_precedes_allocation(capsysbinary, monkeypatch):
+    # k100 lists 4950 edges; the check comes before the list is built
+    monkeypatch.setenv("ZEROLEAK_BUDGET", "4949")
+    code, out, err = run_main(capsysbinary, "chif", "--graph", "fixture:k100")
+    assert code == 2 and out == b""
+    error = json.loads(err)["error"]
+    assert error["code"] == "budget_exceeded"
+    assert error["detail"] == {"budget": "fixture_edges", "limit": 4949}
+    monkeypatch.setenv("ZEROLEAK_BUDGET", "4950")
+    code, out, err = run_main(capsysbinary, "chif", "--graph", "fixture:k100")
+    assert code == 0 and err == b""
+    assert json.loads(out)["chi_f"] == "100/1"
+
+
+def test_answers_past_the_conversion_limit_are_budget_errors(capsysbinary, tmp_path):
+    # the leakage has a 5001-digit denominator, though every input part is shorter
+    p, q = 10**2500 + 1, 10**2500 + 3
+    rows = [[f"1/{p}", f"{p - 1}/{p}"], [f"1/{q}", f"{q - 1}/{q}"]]
+    mapping = write_json(tmp_path, "long.json", {"t": 1, "codewords": ["a", "b"], "rows": rows})
+    code, out, err = run_main(capsysbinary, "leakage-eval", "--graph", "fixture:e2", "--mapping", mapping)
+    assert code == 2 and out == b""
+    error = json.loads(err)
+    jsonschema.validate(error, load_schema("error"))
+    assert error["error"]["code"] == "budget_exceeded"
+    assert error["error"]["detail"] == {"budget": "int_max_str_digits", "limit": sys.get_int_max_str_digits()}
+
+
 def test_subprocess_runs_are_byte_identical():
     commands = [
         ("chif", "--graph", "fixture:petersen"),

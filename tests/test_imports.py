@@ -1,17 +1,28 @@
-"""Every module-level import under src/zeroleak is used by its module.
+"""Imports under src/zeroleak: every one is used, and start-up stays light.
 
-A stand-in for a linter's unused-import rule, using only the standard
-library.  A name a package `__init__.py` lists in `__all__` counts as used,
-because that file imports it to re-export it.
+The first tests stand in for a linter's unused-import rule, using only the
+standard library.  A name a package `__init__.py` lists in `__all__` counts
+as used, because that file imports it to re-export it.
+
+The start-up guard imports `zeroleak.cli` in a fresh interpreter.  Every
+CLI call pays that import, so it must not load the modules that code
+generation and source introspection need.  It must still load every module
+that the benchmark's tracer assigns a layer, because the tracer wraps only
+the functions of modules loaded by that import.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "zeroleak"
+ROOT = Path(__file__).resolve().parent.parent
+SOURCE = ROOT / "src" / "zeroleak"
 MODULES = sorted(SOURCE.rglob("*.py"))
+HEAVY_AT_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize")
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -43,3 +54,23 @@ def test_no_unused_module_level_import(path):
 def test_the_guard_sees_an_unused_import():
     tree = ast.parse("from .rationals import format_ratio\nimport math\nx = math.pi\n")
     assert _unused_imports(tree) == ["format_ratio (line 1)"]
+
+
+def _tracer_layer_map() -> dict:
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "LAYER_OF_MODULE" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py has no LAYER_OF_MODULE")
+
+
+def test_cli_import_is_light_and_eager():
+    probe = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import json, zeroleak.cli; print(json.dumps(sorted(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True)
+    loaded = set(json.loads(done.stdout))
+    assert [name for name in HEAVY_AT_START_UP if name in loaded] == []
+    traced = [name for name in _tracer_layer_map() if name.startswith("zeroleak.")]
+    assert traced and [name for name in traced if name not in loaded] == []
