@@ -10,7 +10,7 @@ parametric fixture checks the number of edges it is about to list against a
 from __future__ import annotations
 
 import json
-from importlib import resources
+import os
 
 from ..budget import WorkMeter
 from ..errors import DomainError
@@ -67,8 +67,9 @@ def path_graph(n: int) -> Graph:
 
 
 def _load_shipped(name: str) -> Graph:
-    text = resources.files("zeroleak.fixtures").joinpath(f"{name}.json").read_text(encoding="utf-8")
-    return graph_from_obj(json.loads(text))
+    # read beside this module: importing importlib.resources would slow every CLI start
+    with open(os.path.join(os.path.dirname(__file__), f"{name}.json"), encoding="utf-8") as f:
+        return graph_from_obj(json.load(f))
 
 
 def resolve_fixture(name: str) -> Graph:

@@ -310,26 +310,28 @@ def and_product(g: Graph, h: Graph) -> Graph:
     return _graph_from_rows(rows)
 
 
-@lru_cache(maxsize=None)
-def or_power(g: Graph, t: int) -> Graph:
+def _require_power(t: int) -> None:
     if t < 1:
         raise DomainError("bad_power", f"power t must be >= 1, got {t}")
+
+
+def _power(g: Graph, t: int, product) -> Graph:
+    _require_power(t)
     _require_nonempty(g)
     result = g
     for _ in range(t - 1):
-        result = or_product(result, g)
+        result = product(result, g)
     return result
+
+
+@lru_cache(maxsize=None)
+def or_power(g: Graph, t: int) -> Graph:
+    return _power(g, t, or_product)
 
 
 @lru_cache(maxsize=None)
 def and_power(g: Graph, t: int) -> Graph:
-    if t < 1:
-        raise DomainError("bad_power", f"power t must be >= 1, got {t}")
-    _require_nonempty(g)
-    result = g
-    for _ in range(t - 1):
-        result = and_product(result, g)
-    return result
+    return _power(g, t, and_product)
 
 
 def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
@@ -396,8 +398,7 @@ def mis_of_or_power(g: Graph, t: int) -> tuple[tuple[int, ...], ...]:
     independent set per coordinate, so the family is the full Cartesian
     product, |MIS|**t sets, each encoded through the sequence numbering.
     """
-    if t < 1:
-        raise DomainError("bad_power", f"power t must be >= 1, got {t}")
+    _require_power(t)
     base_sets = maximal_independent_sets(g)
     n = g.vertex_count
     meter = WorkMeter("mis_enumeration")
@@ -499,8 +500,7 @@ def trace_masks(T, theta: Graph, t: int) -> tuple[int, ...]:
     T only needs to be a nonempty set of in-range sequence indices.
     """
     _require_nonempty(theta)
-    if t < 1:
-        raise DomainError("bad_power", f"power t must be >= 1, got {t}")
+    _require_power(t)
     members = tuple(sorted(set(T)))
     if not members:
         raise DomainError("empty_vertex_set", "T must be nonempty")

@@ -3,10 +3,14 @@
 Four linear programs (fractional chromatic number, maximin split weight,
 fractional covering of a hypergraph, fractional closed-neighborhood packing)
 plus exact integer set cover.  All values are exact rationals from the
-simplex in `lp`.  The covering core works on hyperedges as int masks over
-vertex ranks, with an inclusion-based presolve and a per-operation cache of
-LP optima by rank-space shape, because a covering search and the
-approximate-guess bounds solve many tiny instances of few shapes.
+one-phase simplex in `lp`, so every program is posed as a packing LP: `<=`
+rows with nonnegative right-hand sides.  The two covering programs are
+solved as their packing duals, and their cover weights are that LP's row
+prices; by LP duality both forms have the same optimum.  The covering core
+works on hyperedges as int masks over vertex ranks, with an inclusion-based
+presolve and a per-operation cache of LP optima by rank-space shape,
+because a covering search and the approximate-guess bounds solve many tiny
+instances of few shapes.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from typing import NamedTuple
 from .budget import WorkMeter
 from .errors import DomainError, ZeroleakError
 from .graphs import Graph, Hypergraph, maximal_independent_sets, rank_masks, vertex_mask
-from .lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LpSolution, make_lp, solve_lp
+from .lp import LESS_EQUAL, LpSolution, make_lp, solve_lp
 
 
 class WeightedFamily(NamedTuple):
@@ -40,40 +44,44 @@ def _optimal(solution: LpSolution, what: str) -> LpSolution:
     return solution
 
 
-def _mis_rows(g: Graph):
-    """The maximal independent sets, and each vertex's 0/1 row over them."""
+def _mis_masks(g: Graph):
+    """The maximal independent sets, and the same sets as masks."""
     sets = maximal_independent_sets(g)
-    masks = [vertex_mask(s) for s in sets]
-    return sets, [[s >> x & 1 for s in masks] for x in range(g.vertex_count)]
+    return sets, [vertex_mask(s) for s in sets]
 
 
 def fractional_chromatic(g: Graph) -> WeightedFamily:
     """Minimum total weight on maximal independent sets covering every vertex once.
 
-    Weights are only constrained to be nonnegative: with unit costs, an
-    optimal weight never exceeds 1, since any excess over 1 could be removed
-    and every cover would still hold.  The optimum is 1 exactly when the
-    graph has no edges.
+    Solved as its dual, the fractional clique LP: maximize the total vertex
+    weight with every maximal independent set summing to <= 1, one row per
+    set.  The set weights are that LP's row prices, so they are nonnegative,
+    cover every vertex to at least 1 and sum to the optimum.  The optimum is
+    1 exactly when the graph has no edges.
     """
-    sets, rows = _mis_rows(g)
-    constraints = [(row, GREATER_EQUAL, 1) for row in rows]
-    program = make_lp("min", [1] * len(sets), constraints)
+    sets, masks = _mis_masks(g)
+    n = g.vertex_count
+    constraints = [([s >> x & 1 for x in range(n)], LESS_EQUAL, 1) for s in masks]
+    program = make_lp("max", [1] * n, constraints)
     solution = _optimal(solve_lp(program), "fractional chromatic")
-    return WeightedFamily(solution.value, sets, solution.assignment)
+    return WeightedFamily(solution.value, sets, solution.duals)
 
 
 def maximin_eta(g: Graph) -> WeightedFamily:
     """Maximize the smallest per-vertex coverage of a unit weight split.
 
-    Weights kappa over maximal independent sets sum to one; the value is the
-    largest floor z with coverage(x) >= z for every vertex.  Weights are
-    only constrained to be nonnegative: the unit sum already keeps each
-    kappa, and so the floor z, at most 1.
+    Weights kappa over maximal independent sets are the first columns, and
+    the floor z is the last: maximize z with z - coverage(x) <= 0 for every
+    vertex x and sum(kappa) <= 1.  Every vertex lies in some set, so the
+    optimum is positive, and then the sum is exactly 1 (scaling the weights
+    up would raise every coverage).  The split is solved as its own LP, not
+    read off `fractional_chromatic`, so the two stay independent routes to
+    eta = 1 / chi_f.
     """
-    sets, rows = _mis_rows(g)
+    sets, masks = _mis_masks(g)
     m = len(sets)
-    constraints = [(row + [-1], GREATER_EQUAL, 0) for row in rows]
-    constraints.append(([1] * m + [0], EQUAL, 1))
+    constraints = [([-(s >> x & 1) for s in masks] + [1], LESS_EQUAL, 0) for x in range(g.vertex_count)]
+    constraints.append(([1] * m + [0], LESS_EQUAL, 1))
     program = make_lp("max", [0] * m + [1], constraints)
     solution = _optimal(solve_lp(program), "maximin split")
     return WeightedFamily(solution.value, sets, solution.assignment[:m])
@@ -128,7 +136,10 @@ def _kf_lp(edges: tuple[int, ...], kf_cache: dict):
     """Fractional covering optimum of rank masks that cover ranks 0..k-1, cached by shape.
 
     The shape is the sorted edge masks, which also fix k.  A hit maps the
-    stored weights back through the sort, equal masks in index order.
+    stored weights back through the sort, equal masks in index order.  The
+    LP solved is the packing dual of the presolved instance, one column per
+    kept vertex and one row per kept edge; the edge weights are its row
+    prices.
     """
     order = sorted(range(len(edges)), key=edges.__getitem__)
     key = tuple(edges[i] for i in order)
@@ -151,14 +162,12 @@ def _kf_lp(edges: tuple[int, ...], kf_cache: dict):
         value = Fraction(1)
         weights[full] = Fraction(1)
     else:
-        constraints = []
-        for v in range(width):
-            if keep_vertices >> v & 1:
-                constraints.append(([edges[i] >> v & 1 for i in keep_edges], GREATER_EQUAL, 1))
-        program = make_lp("min", [1] * len(keep_edges), constraints)
+        kept = [v for v in range(width) if keep_vertices >> v & 1]
+        constraints = [([edges[i] >> v & 1 for v in kept], LESS_EQUAL, 1) for i in keep_edges]
+        program = make_lp("max", [1] * len(kept), constraints)
         solution = _optimal(solve_lp(program), "fractional covering")
         value = solution.value
-        for i, w in zip(keep_edges, solution.assignment):
+        for i, w in zip(keep_edges, solution.duals):
             weights[i] = w
 
     kf_cache[key] = (value, tuple(weights[i] for i in order))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from zeroleak import DomainError, ResourceBudgetError, ZeroleakError
-from zeroleak.lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, _validate, make_lp, solve_lp
+from zeroleak.lp import LESS_EQUAL, _validate, make_lp, solve_lp
 
 
 def test_known_max():
@@ -19,19 +19,23 @@ def test_known_max():
     assert sol.status == "optimal"
     assert sol.value == 12
     assert sol.assignment == (Fraction(4), Fraction(0))
+    # a max program's prices are >= 0: the first row binds at 3 per unit
+    assert sol.duals == (Fraction(3), Fraction(0))
 
 
-def test_known_min_with_surplus_rows():
-    # diet-style: min 2x + 3y s.t. x + y >= 10, x >= 3; optimum (10, 0)
+def test_known_min():
+    # min -2x - 3y s.t. x + y <= 4, x + 3y <= 6; optimum (3, 1)
     lp = make_lp(
         "min",
-        [2, 3],
-        [([1, 1], GREATER_EQUAL, 10), ([1, 0], GREATER_EQUAL, 3)],
+        [-2, -3],
+        [([1, 1], LESS_EQUAL, 4), ([1, 3], LESS_EQUAL, 6)],
     )
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    assert sol.value == 20
-    assert sol.assignment == (Fraction(10), Fraction(0))
+    assert sol.value == -9
+    assert sol.assignment == (Fraction(3), Fraction(1))
+    # a min program's prices are <= 0, and still sum to the value against b
+    assert sol.duals == (Fraction(-3, 2), Fraction(-1, 2))
 
 
 def test_fractional_optimum_is_exact():
@@ -46,33 +50,15 @@ def test_fractional_optimum_is_exact():
     assert sol.assignment == (Fraction(1, 2), Fraction(1, 2))
 
 
-def test_equality_constraints():
-    lp = make_lp(
-        "min",
-        [1, 2, 4],
-        [([1, 1, 1], EQUAL, 3), ([0, 1, 2], EQUAL, 2)],
-    )
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.value == 5
-    lhs = sum(sol.assignment)
-    assert lhs == 3
-
-
-def test_infeasible():
-    lp = make_lp("max", [1], [([1], LESS_EQUAL, 1), ([1], GREATER_EQUAL, 2)])
-    sol = solve_lp(lp)
-    assert sol.status == "infeasible"
-    assert sol.value is None and sol.assignment is None
-
-
 def test_unbounded():
     lp = make_lp("max", [1, 0], [([0, 1], LESS_EQUAL, 1)])
-    assert solve_lp(lp).status == "unbounded"
+    sol = solve_lp(lp)
+    assert sol.status == "unbounded"
+    assert sol.value is None and sol.assignment is None and sol.duals is None
 
 
 def test_boxed_variables():
-    lp = make_lp("max", [1, 1], _box_rows([(1, 2), (Fraction(1, 3), Fraction(1, 2))]))
+    lp = make_lp("max", [1, 1], _box_rows([2, Fraction(1, 2)]))
     sol = solve_lp(lp)
     assert sol.value == Fraction(5, 2)
     assert sol.assignment == (Fraction(2), Fraction(1, 2))
@@ -83,8 +69,7 @@ def test_no_variables():
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.value == 0
-    lp2 = make_lp("min", [], [([], LESS_EQUAL, -1)])
-    assert solve_lp(lp2).status == "infeasible"
+    assert sol.assignment == () and sol.duals == (Fraction(0),)
 
 
 def test_validation_errors():
@@ -96,6 +81,18 @@ def test_validation_errors():
     assert e.value.code == "dimension_mismatch"
     with pytest.raises(DomainError) as e:
         make_lp("min", [1], [([1], "<", 0)])
+    assert e.value.code == "bad_lp"
+
+
+@pytest.mark.parametrize(
+    "row",
+    [([1], ">=", 1), ([1], "=", 1), ([1], LESS_EQUAL, -1), ([1], LESS_EQUAL, Fraction(-1, 3))],
+    ids=["greater_equal", "equal", "negative_rhs", "negative_fractional_rhs"],
+)
+def test_rows_outside_the_packing_form_are_rejected(row):
+    # the all-slack basis is feasible only for <= rows with rhs >= 0
+    with pytest.raises(DomainError) as e:
+        make_lp("max", [1], [([1], LESS_EQUAL, 1), row])
     assert e.value.code == "bad_lp"
 
 
@@ -111,61 +108,44 @@ def test_random_boxed_lps_against_vertex_enumeration():
         for _ in range(nrows):
             coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(nvars)]
             constraints.append((coeffs, LESS_EQUAL, Fraction(rng.randint(0, 4))))
-        bounds = [(Fraction(0), Fraction(rng.randint(1, 3))) for _ in range(nvars)]
-        sol = solve_lp(make_lp("max", objective, constraints + _box_rows(bounds)))
+        bounds = [Fraction(rng.randint(1, 3)) for _ in range(nvars)]
+        program = make_lp("max", objective, constraints + _box_rows(bounds))
+        sol = solve_lp(program)
         assert sol.status == "optimal"  # box is nonempty and bounded
         best = _brute_boxed_max(objective, constraints, bounds)
         assert sol.value == best
+        _assert_dual_certificate(program, sol)
+
+
+def _assert_dual_certificate(program, sol):
+    # the prices of a max program: y >= 0, A^T y >= c and b.y == value
+    rows = program.constraints
+    assert len(sol.duals) == len(rows)
+    assert all(y >= 0 for y in sol.duals)
+    for k, c in enumerate(program.objective):
+        assert sum(y * coeffs[k] for (coeffs, _rel, _rhs), y in zip(rows, sol.duals)) >= c
+    assert sum(y * rhs for (_coeffs, _rel, rhs), y in zip(rows, sol.duals)) == sol.value
 
 
 def test_random_fractional_rows_against_vertex_enumeration():
     """Non-integer coefficients and right-hand sides exercise the per-row
-    integer scaling; negative right-hand sides flip rows, and some of the
-    programs are infeasible."""
+    integer scaling; two of the right-hand sides drawn are zero."""
     rng = random.Random(7)
 
     def frac(lo, hi):
         return Fraction(rng.randint(lo * 6, hi * 6), rng.randint(1, 6))
 
-    statuses = set()
     for _ in range(60):
         nvars = rng.randint(1, 3)
         nrows = rng.randint(1, 3)
         objective = [frac(-3, 3) for _ in range(nvars)]
-        constraints = [([frac(-2, 2) for _ in range(nvars)], LESS_EQUAL, frac(-1, 4)) for _ in range(nrows)]
-        bounds = [(Fraction(0), frac(1, 3)) for _ in range(nvars)]
-        sol = solve_lp(make_lp("max", objective, constraints + _box_rows(bounds)))
-        best = _brute_boxed_max(objective, constraints, bounds)
-        statuses.add(sol.status)
-        if best is None:
-            assert sol.status == "infeasible"
-        else:
-            assert sol.status == "optimal"
-            assert sol.value == best
-    assert statuses == {"optimal", "infeasible"}
-
-
-def test_duplicated_equality_row_is_deleted():
-    # phase 1 leaves the copy's artificial basic on an all-zero row
-    lp = make_lp("min", [1, 2], [([1, 1], EQUAL, 2), ([1, 1], EQUAL, 2)])
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.value == 2
-    assert sol.assignment == (Fraction(2), Fraction(0))
-
-
-def test_drive_out_pivots_on_a_negative_entry():
-    # -x - y = 0 keeps its artificial basic at zero through phase 1 (every
-    # reduced cost on its row is positive), so the drive-out step pivots on -1
-    lp = make_lp(
-        "max",
-        [0, 0, 1],
-        [([-1, -1, 0], EQUAL, 0), ([1, 0, 1], LESS_EQUAL, 2), ([0, 1, 1], LESS_EQUAL, 3)],
-    )
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.value == 2
-    assert sol.assignment == (Fraction(0), Fraction(0), Fraction(2))
+        constraints = [([frac(-2, 2) for _ in range(nvars)], LESS_EQUAL, frac(0, 4)) for _ in range(nrows)]
+        bounds = [frac(1, 3) for _ in range(nvars)]
+        program = make_lp("max", objective, constraints + _box_rows(bounds))
+        sol = solve_lp(program)
+        assert sol.status == "optimal"
+        assert sol.value == _brute_boxed_max(objective, constraints, bounds)
+        _assert_dual_certificate(program, sol)
 
 
 def test_pivots_are_charged_to_the_budget(monkeypatch):
@@ -180,11 +160,11 @@ def test_pivots_are_charged_to_the_budget(monkeypatch):
 
 
 def test_validate_rejects_each_broken_certificate(monkeypatch):
-    # max 2x + 3y + z s.t. x + y + z <= 4, x + z >= 1, x - y = 0; optimum (2, 2, 0)
+    # max 2x + 3y + z s.t. x + y + z <= 4, y - x <= 0, 2x + z <= 5; optimum (2, 2, 0)
     program = make_lp(
         "max",
         [2, 3, 1],
-        [([1, 1, 1], LESS_EQUAL, 4), ([1, 0, 1], GREATER_EQUAL, 1), ([1, -1, 0], EQUAL, 0)],
+        [([1, 1, 1], LESS_EQUAL, 4), ([-1, 1, 0], LESS_EQUAL, 0), ([2, 0, 1], LESS_EQUAL, 5)],
     )
     certificates = []
 
@@ -196,17 +176,18 @@ def test_validate_rejects_each_broken_certificate(monkeypatch):
     sol = solve_lp(program)
     assert sol.value == 10 and sol.assignment == (2, 2, 0)
     [(_program, assignment, value, duals)] = certificates
-    # min -2x - 3y - z: y <= 0 on the <= row, y >= 0 on the >= row, free on =
-    assert duals == [Fraction(-5, 2), 0, Fraction(1, 2)]
+    # a max program's prices are >= 0; the slack third row has price 0
+    assert duals == (Fraction(5, 2), Fraction(1, 2), 0)
+    assert sol.duals == duals
     _validate(program, assignment, value, duals)
 
     broken = [
         ([2, 2, -1], value, duals, "x >= 0 on variable 2"),
         ([3, 3, 0], value, duals, "broke constraint <= 4"),
         (assignment, value + 1, duals, "value does not match"),
-        (assignment, value, [Fraction(-5, 2), -1, Fraction(1, 2)], "dual of a >= row has the wrong sign"),
+        (assignment, value, [Fraction(5, 2), Fraction(-1, 2), 0], "dual of a <= row has the wrong sign"),
         (assignment, value, [0, 0, 0], "negative reduced cost"),
-        (assignment, value, [Fraction(-7, 2), 0, Fraction(1, 2)], "objectives differ"),
+        (assignment, value, [Fraction(7, 2), Fraction(1, 2), 0], "objectives differ"),
     ]
     for bad_assignment, bad_value, bad_duals, message in broken:
         with pytest.raises(ZeroleakError, match=message) as e:
@@ -214,16 +195,9 @@ def test_validate_rejects_each_broken_certificate(monkeypatch):
         assert e.value.code == "internal_error"
 
 
-def _box_rows(bounds):
-    # each box [lo, hi] as rows: lo > 0 as a >= row, a finite hi as a <= row
-    rows = []
-    for k, (lo, hi) in enumerate(bounds):
-        unit = [1 if j == k else 0 for j in range(len(bounds))]
-        if lo:
-            rows.append((unit, GREATER_EQUAL, lo))
-        if hi is not None:
-            rows.append((unit, LESS_EQUAL, hi))
-    return rows
+def _box_rows(highs):
+    # each box [0, hi] as one row x_k <= hi; x_k >= 0 is the solver's own
+    return [([1 if j == k else 0 for j in range(len(highs))], LESS_EQUAL, hi) for k, hi in enumerate(highs)]
 
 
 def _brute_boxed_max(objective, constraints, bounds, steps: int = 6):
@@ -233,10 +207,10 @@ def _brute_boxed_max(objective, constraints, bounds, steps: int = 6):
     conditions = []
     for coeffs, _rel, rhs in constraints:
         conditions.append((coeffs, rhs))
-    for k, (lo, hi) in enumerate(bounds):
+    for k, hi in enumerate(bounds):
         unit = [Fraction(0)] * nvars
         unit[k] = Fraction(1)
-        conditions.append((list(unit), lo))
+        conditions.append((list(unit), Fraction(0)))
         conditions.append((list(unit), hi))
     best = None
     for combo in itertools.combinations(range(len(conditions)), nvars):
@@ -272,7 +246,7 @@ def _feasible(point, constraints, bounds):
     for coeffs, _rel, rhs in constraints:
         if sum(c * x for c, x in zip(coeffs, point)) > rhs:
             return False
-    for x, (lo, hi) in zip(point, bounds):
-        if x < lo or x > hi:
+    for x, hi in zip(point, bounds):
+        if x < 0 or x > hi:
             return False
     return True

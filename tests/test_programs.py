@@ -17,6 +17,7 @@ from zeroleak import (
     maximal_independent_sets,
     maximin_eta,
     multi_approx_guess_bounds,
+    or_power,
     resolve_fixture,
 )
 from zeroleak import programs
@@ -105,6 +106,14 @@ def test_duality_spot_checks():
         graphs.append(make_graph(n, edges))
     for g in graphs:
         assert maximin_eta(g).value * fractional_chromatic(g).value == 1
+
+
+def test_chromatic_of_the_petersen_or_square_fits_a_small_budget(monkeypatch):
+    # 100 vertices and 225 sets: 2,817 MIS search nodes and 139 pivots fit
+    # in 4,096 units of every meter
+    monkeypatch.setenv("ZEROLEAK_BUDGET", "4096")
+    square = or_power(resolve_fixture("petersen"), 2)
+    assert fractional_chromatic(square).value == Fraction(25, 4)
 
 
 def test_covering_triangle():

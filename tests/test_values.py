@@ -36,7 +36,10 @@ EXAMPLES = {
         ("sense", "objective", "constraints"),
         lambda: ("max", (F(1), F(2)), (((F(1), F(1)), "<=", F(3)),)),
     ),
-    LpSolution: (("status", "value", "assignment"), lambda: ("optimal", F(6), (F(0), F(3)))),
+    LpSolution: (
+        ("status", "value", "assignment", "duals"),
+        lambda: ("optimal", F(6), (F(0), F(3)), (F(2),)),
+    ),
     LeakageValue: (("log2_of",), lambda: (F(5, 2),)),
     StochasticMapping: (
         ("t", "codewords", "denominator", "counts"),
