@@ -9,6 +9,8 @@ products also check the size of their bitmask rows before building them,
 any other first use of a graph's rows checks it against `graph_rows`,
 product trace families check theirs (`trace_family`), `make_mapping`
 checks the size of its integer counts as their common denominator grows,
+`optimal_leakage_t` checks its witness's cells, sequences times codewords,
+against `witness_cells` before it builds anything on the OR power,
 and the parametric fixtures c<n>, k<n> and p<n> check their edge count
 (`fixture_edges`) before listing the edges.
 The default budget is 2**20 units of search work; the ZEROLEAK_BUDGET

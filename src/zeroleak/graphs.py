@@ -391,24 +391,35 @@ def independence_number(g: Graph) -> int:
     return max(len(s) for s in maximal_independent_sets(g))
 
 
+def product_sets(base_sets, n: int, t: int) -> list[tuple[int, ...]]:
+    """The members of S1 x ... x St for every t-tuple of base sets, t >= 1.
+
+    Tuples come in `itertools.product` order over `base_sets`, and each
+    product's members are encoded through the sequence numbering of an
+    n-vertex graph's t-fold power; base sets in ascending order give members
+    in ascending order.  The family's size, sets times the largest set's
+    members, is checked against a `mis_enumeration` meter before it is built.
+    """
+    alpha = max(map(len, base_sets))
+    WorkMeter("mis_enumeration").check_size(len(base_sets) ** t * alpha**t, "product MIS family")
+    out = []
+    for combo in itertools.product(base_sets, repeat=t):
+        members = (0,)
+        for s in combo:
+            members = tuple(m * n + v for m in members for v in s)
+        out.append(members)
+    return out
+
+
 def mis_of_or_power(g: Graph, t: int) -> tuple[tuple[int, ...], ...]:
     """Maximal independent sets of the t-fold OR power, built as products.
 
     Every maximal independent set of the power factors into one maximal
     independent set per coordinate, so the family is the full Cartesian
-    product, |MIS|**t sets, each encoded through the sequence numbering.
+    product, |MIS|**t sets (`product_sets`), sorted by member list.
     """
     _require_power(t)
-    base_sets = maximal_independent_sets(g)
-    n = g.vertex_count
-    meter = WorkMeter("mis_enumeration")
-    alpha = max(len(s) for s in base_sets)
-    meter.check_size(len(base_sets) ** t * alpha**t, "product MIS family")
-    out = []
-    for combo in itertools.product(base_sets, repeat=t):
-        members = tuple(sorted(encode_symbols(symbols, n) for symbols in itertools.product(*combo)))
-        out.append(members)
-    return tuple(sorted(out))
+    return tuple(sorted(product_sets(maximal_independent_sets(g), g.vertex_count, t)))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .budget import AUTOMORPHISM_VERTEX_CAP, WorkMeter
 from .errors import DomainError, ZeroleakError
 from .graphs import (
     Graph,
+    _require_power,
     VertexSetFamily,
     first_edge_within,
     independence_number,
@@ -29,6 +30,7 @@ from .graphs import (
     make_family,
     maximal_independent_sets,
     or_power,
+    product_sets,
     product_traces,
     trace_masks,
     vertex_mask,
@@ -37,7 +39,6 @@ from .programs import (
     fractional_chromatic,
     fractional_cover,
     fractional_packing,
-    maximin_eta,
     min_cover_size,
 )
 from .rationals import bits_display
@@ -231,31 +232,84 @@ class OptimalLeakage(NamedTuple):
 
 
 def optimal_leakage_t(gamma: Graph, t: int) -> OptimalLeakage:
-    """Least maximal leakage over zero-error schemes for t symbols.
+    """Least maximal leakage over zero-error schemes for t symbols: chi_f**t.
 
-    The optimum is the reciprocal of the maximin split weight on the OR power.
-    A witness scheme is built from the optimal split: codeword per positive
-    weight set T, P(T | x) = kappa_T / coverage(x); its measured leakage is
-    reported alongside so a gap would be visible rather than silent.
+    One LP is solved, `fractional_chromatic` on gamma, and its optimum is
+    certified on the OR power exactly, with no LP on the power.  The primal
+    is the set weights kappa tensored t times: each product set
+    S1 x ... x St of base sets with kappa > 0 gets the product of their
+    weights.  The dual is the fractional clique y tensored onto the
+    sequences.  Every maximal independent set of the power is a product of
+    base sets (`mis_of_or_power`), so these checks prove both optimal.  They
+    run in integers over one common denominator per side, and a failed check
+    raises `internal_error`:
+
+    - the base weights are nonnegative;
+    - every chosen product set is independent in the OR power;
+    - every sequence is covered to at least 1;
+    - every product of base maximal independent sets has dual sum <= 1;
+    - the primal and the dual total are both chi_f**t.
+
+    The witness scheme has a codeword per chosen product set T, in sorted
+    member order, with P(T | x) = kappa_T / coverage(x).  Its size,
+    sequences times codewords, is checked against a `witness_cells` meter
+    before anything is built on the power.  Its measured leakage is
+    reported alongside, so a gap would be visible rather than silent.
     """
-    product = or_power(gamma, t)
-    split = maximin_eta(product)
-    if split.value <= 0:
-        raise ZeroleakError("internal_error", "maximin split weight came back nonpositive")
-    value = LeakageValue(Fraction(1) / split.value)
+    _require_power(t)
+    coloring = fractional_chromatic(gamma)
+    n, chi = gamma.vertex_count, coloring.value
+    kappa_scale, kappa = _over_one_denominator(coloring.weights)
+    y_scale, y = _over_one_denominator(coloring.vertex_weights)
+    meter = WorkMeter("witness_cells")
+    # an exponent past the limit's bit length already overshoots unless the base is 1
+    meter.check_size((n * sum(map(bool, kappa))) ** min(t, meter.limit.bit_length()), "optimal witness")
 
-    chosen = [(s, w) for s, w in zip(split.sets, split.weights) if w > 0]
-    names = tuple("+".join(str(v) for v in s) for s, _ in chosen)
-    # integer weights W_T = w_T * lcm; row x is W_T / coverage(x) over a common d
-    scale = math.lcm(*(w.denominator for _, w in chosen))
-    columns = [(vertex_mask(s), w.numerator * (scale // w.denominator)) for s, w in chosen]
-    weights = [[w if s >> x & 1 else 0 for s, w in columns] for x in range(product.vertex_count)]
-    coverage = [sum(row) for row in weights]
+    def uncertified(what: str):
+        return ZeroleakError("internal_error", f"tensor certificate on the OR power: {what}")
+
+    if min(kappa) < 0 or min(y) < 0:
+        raise uncertified("a base weight is negative")
+    sets = product_sets(coloring.sets, n, t)
+    weights = [math.prod(combo) for combo in itertools.product(kappa, repeat=t)]
+    dual = [1]
+    for _ in range(t):
+        dual = [a * b for a in dual for b in y]
+    primal_one, dual_one = kappa_scale**t, y_scale**t
+
+    product = or_power(gamma, t)
+    chosen = sorted((members, w) for members, w in zip(sets, weights) if w)
+    for members, _ in chosen:
+        pair = first_edge_within(product, vertex_mask(members))
+        if pair is not None:
+            raise uncertified(f"a chosen product set holds the confusable sequences {pair[0]} and {pair[1]}")
+    rows = [[0] * len(chosen) for _ in dual]
+    for j, (members, w) in enumerate(chosen):
+        for x in members:
+            rows[x][j] = w
+    coverage = list(map(sum, rows))
+    if min(coverage) < primal_one:
+        raise uncertified(f"sequence {coverage.index(min(coverage))} is covered to less than 1")
+    for members in sets:
+        if sum(dual[x] for x in members) > dual_one:
+            raise uncertified(f"product set {'+'.join(map(str, members))} has dual sum over 1")
+    chi_t = chi**t
+    if Fraction(sum(weights), primal_one) != chi_t or Fraction(sum(dual), dual_one) != chi_t:
+        raise uncertified(f"the primal and dual totals are not both {chi_t}")
+
     d = math.lcm(*coverage)
-    counts = tuple(tuple(w * (d // c) for w in row) for row, c in zip(weights, coverage))
+    counts = tuple(tuple(w * (d // c) for w in row) for row, c in zip(rows, coverage))
+    names = tuple("+".join(map(str, members)) for members, _ in chosen)
     witness = StochasticMapping(t, names, d, counts)
+    value = LeakageValue(chi_t)
     witness_value = maximal_leakage(witness)
     return OptimalLeakage(t, value, witness, witness_value, witness_value.log2_of == value.log2_of)
+
+
+def _over_one_denominator(fractions) -> tuple[int, list[int]]:
+    """The least common denominator d and each fraction times d."""
+    d = math.lcm(*(q.denominator for q in fractions))
+    return d, [q.numerator * (d // q.denominator) for q in fractions]
 
 
 def leakage_rate(gamma: Graph) -> LeakageValue:

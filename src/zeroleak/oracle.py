@@ -245,7 +245,13 @@ def generate_valid_mapping(
 # ---------------------------------------------------------------------------
 
 def verify_eta_duality(gamma: Graph, t: int) -> dict:
-    """The maximin split weight must be the exact reciprocal of the chromatic LP."""
+    """The maximin split weight must be the exact reciprocal of the chromatic LP.
+
+    Both LPs are solved on the OR power itself, over its own maximal
+    independent sets.  `optimal_leakage_t` reads its answer off one LP on
+    the base graph through the product structure, so this is the route
+    that does not rely on that structure.
+    """
     product = or_power(gamma, t)
     chi = fractional_chromatic(product).value
     eta = maximin_eta(product).value

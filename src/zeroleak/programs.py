@@ -33,6 +33,19 @@ class WeightedFamily(NamedTuple):
     weights: tuple[Fraction, ...]
 
 
+class FractionalColoring(NamedTuple):
+    """The chi_f optimum with both halves of its certificate.
+
+    `weights` are the set weights, one per maximal independent set, and
+    `vertex_weights` the optimal fractional clique: each sums to `value`.
+    """
+
+    value: Fraction
+    sets: tuple[tuple[int, ...], ...]
+    weights: tuple[Fraction, ...]
+    vertex_weights: tuple[Fraction, ...]
+
+
 class WeightedVertices(NamedTuple):
     value: Fraction
     weights: tuple[Fraction, ...]
@@ -50,21 +63,22 @@ def _mis_masks(g: Graph):
     return sets, [vertex_mask(s) for s in sets]
 
 
-def fractional_chromatic(g: Graph) -> WeightedFamily:
+def fractional_chromatic(g: Graph) -> FractionalColoring:
     """Minimum total weight on maximal independent sets covering every vertex once.
 
     Solved as its dual, the fractional clique LP: maximize the total vertex
     weight with every maximal independent set summing to <= 1, one row per
     set.  The set weights are that LP's row prices, so they are nonnegative,
-    cover every vertex to at least 1 and sum to the optimum.  The optimum is
-    1 exactly when the graph has no edges.
+    cover every vertex to at least 1 and sum to the optimum.  The vertex
+    weights are its optimal assignment, the fractional clique.  The optimum
+    is 1 exactly when the graph has no edges.
     """
     sets, masks = _mis_masks(g)
     n = g.vertex_count
     constraints = [([s >> x & 1 for x in range(n)], LESS_EQUAL, 1) for s in masks]
     program = make_lp("max", [1] * n, constraints)
     solution = _optimal(solve_lp(program), "fractional chromatic")
-    return WeightedFamily(solution.value, sets, solution.duals)
+    return FractionalColoring(solution.value, sets, solution.duals, solution.assignment)
 
 
 def maximin_eta(g: Graph) -> WeightedFamily:
@@ -76,7 +90,7 @@ def maximin_eta(g: Graph) -> WeightedFamily:
     optimum is positive, and then the sum is exactly 1 (scaling the weights
     up would raise every coverage).  The split is solved as its own LP, not
     read off `fractional_chromatic`, so the two stay independent routes to
-    eta = 1 / chi_f.
+    eta = 1 / chi_f; its one caller is the duality oracle.
     """
     sets, masks = _mis_masks(g)
     m = len(sets)

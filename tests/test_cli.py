@@ -208,6 +208,15 @@ PINNED_SHA256 = [
         ("leakage-optimal", "--graph", "fixture:c5", "--t", "2"),
         "1e6b416bdc12442f3de2a26d7075848665b1cc76392a7142dd93851eb16a28b2",
     ),
+    # recorded while the witness came from the maximin split LP on the power
+    (
+        ("leakage-optimal", "--graph", "fixture:c7", "--t", "2"),
+        "7d91ef952c0908e3628ef826af0329eda96e40dd0faf3beb862e06b9606dc8bb",
+    ),
+    (
+        ("leakage-optimal", "--graph", "fixture:petersen", "--t", "2"),
+        "6bbed7205cf346127b55d8231aec90face79dd2ffd615c33778e9799401289b9",
+    ),
     # recorded before the approximate-guess caps were built from product
     # trace families; {onesT} is an all-ones table budget of length T
     (
@@ -412,6 +421,15 @@ def test_budget_exceeded_exit_code():
     obj = json.loads(err)
     assert obj["error"]["code"] == "budget_exceeded"
     assert obj["error"]["detail"]["limit"] == 10
+
+
+def test_optimal_witness_size_is_checked_before_it_is_built(capsysbinary):
+    # 3125 sequences times 3125 product sets, far over the default budget
+    code, out, err = run_main(capsysbinary, "leakage-optimal", "--graph", "fixture:c5", "--t", "5")
+    assert code == 2 and out == b""
+    error = json.loads(err)["error"]
+    assert error["code"] == "budget_exceeded"
+    assert error["detail"]["budget"] == "witness_cells"
 
 
 def test_graph_rows_guard_precedes_allocation(capsysbinary, tmp_path, monkeypatch):

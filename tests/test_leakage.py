@@ -9,6 +9,7 @@ from zeroleak import (
     BoundsReport,
     DomainError,
     GuessBudget,
+    ZeroleakError,
     LeakageValue,
     ResourceBudgetError,
     StochasticMapping,
@@ -22,6 +23,7 @@ from zeroleak import (
     make_hypergraph,
     make_mapping,
     maximal_independent_sets,
+    maximin_eta,
     maximal_leakage,
     merge_codewords,
     multi_approx_guess_bounds,
@@ -29,9 +31,12 @@ from zeroleak import (
     multi_guess_bounds,
     optimal_leakage_t,
     optimal_scalar_mapping,
+    or_power,
     resolve_fixture,
     validate_mapping,
 )
+from zeroleak import leakage
+from zeroleak.fixtures import fixture_corpus
 from zeroleak.graphs import product_traces, trace_masks
 from helpers import brute_covering_number, brute_hypergraph_edges, k22
 
@@ -211,6 +216,56 @@ def test_optimal_leakage_t_on_fixtures():
     assert result2.value.log2_of == Fraction(25, 4)
     assert result2.matches
     assert validate_mapping(result2.witness, c5).ok
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_tensor_certificate_agrees_with_the_split_lp_on_the_power(t):
+    # the maximin split LP on the 100-vertex Petersen square takes 4,249 pivots
+    for name, g in fixture_corpus():
+        if (name, t) == ("petersen", 2):
+            continue
+        result = optimal_leakage_t(g, t)
+        assert result.value.log2_of * maximin_eta(or_power(g, t)).value == 1, name
+        assert result.matches, name
+        assert validate_mapping(result.witness, g).ok, name
+
+
+@pytest.mark.parametrize("name, t, value", [("c5", 4, Fraction(625, 16)), ("petersen", 2, Fraction(25, 4)),
+                                            ("c7", 3, Fraction(343, 27))])
+def test_tensor_certificate_answers_past_the_split_lp(name, t, value):
+    g = resolve_fixture(name)
+    result = optimal_leakage_t(g, t)
+    assert result.value.log2_of == value and result.matches
+    assert validate_mapping(result.witness, g).ok
+
+
+def _tampered_coloring(**fields):
+    """A stand-in for fractional_chromatic that answers for C5 with some fields replaced."""
+    real = fractional_chromatic(resolve_fixture("c5"))
+    return lambda g: real._replace(**fields)
+
+
+@pytest.mark.parametrize(
+    "tampered, message",
+    [
+        (_tampered_coloring(vertex_weights=(Fraction(-1, 2),) + (Fraction(3, 4),) * 4), "is negative"),
+        # (0, 1) is an edge of C5
+        (_tampered_coloring(sets=((0, 1), (0, 3), (1, 3), (1, 4), (2, 4))), "confusable sequences 0 and 1"),
+        # vertex 0 is only in the first two sets: covered to 1/4 + 1/2
+        (_tampered_coloring(weights=(Fraction(1, 4),) + (Fraction(1, 2),) * 4), "covered to less than 1"),
+        # the set (0, 2) sums to 3/4 + 1/2
+        (_tampered_coloring(vertex_weights=(Fraction(3, 4),) + (Fraction(1, 2),) * 4), "dual sum over 1"),
+        # a cover and a packing, but twice and half of chi_f
+        (_tampered_coloring(weights=(Fraction(1),) * 5), "totals are not both"),
+        (_tampered_coloring(vertex_weights=(Fraction(1, 4),) * 5), "totals are not both"),
+    ],
+)
+def test_a_broken_certificate_is_an_internal_error(monkeypatch, tampered, message):
+    monkeypatch.setattr(leakage, "fractional_chromatic", tampered)
+    for t in (1, 2):
+        with pytest.raises(ZeroleakError) as e:
+            optimal_leakage_t(resolve_fixture("c5"), t)
+        assert e.value.code == "internal_error" and message in e.value.message
 
 
 def test_optimal_leakage_is_submultiplicative_at_two():
