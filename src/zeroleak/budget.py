@@ -6,7 +6,10 @@ charge their work against a meter so a hostile input fails with a resource
 error instead of hanging.  Each operation creates its own meter, so the
 budget caps one operation, not the process.  MIS enumeration and the graph
 products also check the size of their bitmask rows before building them,
-any other first use of a graph's rows checks it against `graph_rows`,
+`make_graph` checks the rows it is about to allocate against `graph_rows`
+(n * ceil(n / 64) words with an edge, n words without), the t-fold powers
+check t - 1 times their rows' words and the product MIS family its
+t factors per set, so a huge t fails even on one vertex,
 product trace families check theirs (`trace_family`), `make_mapping`
 checks the size of its integer counts as their common denominator grows,
 `optimal_leakage_t` checks its witness's cells, sequences times codewords,

@@ -4,10 +4,12 @@ Vertices are 0-based indices.  Length-t source sequences are identified with
 vertices of the t-fold OR power through a big-endian base-|V| encoding, so
 tuple and index views of a sequence are interchangeable everywhere.
 
-Each graph carries bitmask rows, computed once on first use: bit u of
-`rows[v]` is set iff uv is an edge.  Products, maximal-independent-set
-enumeration and neighbourhood traces are bit operations on these rows.
-Inside the package a vertex set is an int mask in the same layout.
+A graph is its bitmask rows: bit u of `rows[v]` is set iff uv is an edge.
+`make_graph` ORs vertex pairs into rows in one checked walk, products
+build rows directly, and the edge set is derived from the rows on first
+use.  Products, maximal-independent-set enumeration and neighbourhood
+traces are bit operations on the rows.  Inside the package a vertex set is
+an int mask in the same layout.
 
 Graphs, hypergraphs and vertex-set families are frozen values
 (`values.FrozenValue`): equal fields give equal graphs with equal hashes,
@@ -25,70 +27,131 @@ from .values import FrozenValue
 
 
 class Graph(FrozenValue):
-    """Simple undirected graph with optional distinct vertex labels."""
+    """Simple undirected graph on bitmask rows, with optional distinct vertex labels.
+
+    Bit u of `rows[v]` is set iff uv is an edge.  `Graph(n, rows)` checks
+    the row count, that every bit names a vertex, that no row holds its own
+    bit, and symmetry.  `make_graph` builds a graph from vertex pairs.
+    """
 
     vertex_count: int
-    edges: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        n = self.vertex_count
-        if not isinstance(n, int) or n < 0:
-            raise DomainError("bad_vertex_count", f"vertex_count must be a nonnegative integer, got {n!r}")
-        for edge in self.edges:
-            if len(edge) != 2:
-                raise DomainError("bad_edge", f"edge {edge!r} is not a pair")
-            u, v = edge
-            if u == v:
-                raise DomainError("self_loop", f"self-loop at vertex {u}")
-            if not (0 <= u < v < n):
-                raise DomainError("bad_edge", f"edge {edge!r} out of range or not normalized for n={n}")
-        if self.labels is not None:
-            if len(self.labels) != n:
-                raise DomainError("bad_labels", f"expected {n} labels, got {len(self.labels)}")
-            if len(set(self.labels)) != n:
-                raise DomainError("bad_labels", "labels must be pairwise distinct")
+        n, rows = self.vertex_count, self.rows
+        _require_vertex_count(n)
+        if type(rows) is not tuple or len(rows) != n or not all(type(row) is int for row in rows):
+            raise DomainError("bad_rows", f"rows must be a tuple of {n} integers")
+        if min(rows, default=0) < 0:
+            raise DomainError("bad_rows", "rows must be nonnegative bitmasks")
+        _check_row_bits(n, rows)
+        for a, row in enumerate(rows):
+            for b in _bits(row):
+                if not rows[b] >> a & 1:
+                    raise DomainError("bad_rows", f"row {a} holds vertex {b} but row {b} does not hold vertex {a}")
+        _check_labels(n, self.labels)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges (u, v), u < v, read off the rows."""
+        return frozenset(edge_pairs(self))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.rows)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
-            return False
-        return (min(u, v), max(u, v)) in self.edges
+        n = self.vertex_count
+        return 0 <= u < n and 0 <= v < n and bool(self.rows[u] >> v & 1)
 
-    @cached_property
-    def rows(self) -> tuple[int, ...]:
-        """Neighbour bitmasks: bit u of rows[v] is set iff uv is an edge."""
-        WorkMeter("graph_rows").check_size(_row_words(self.vertex_count), "graph rows")
-        rows = [0] * self.vertex_count
-        for u, v in self.edges:
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
-        return tuple(rows)
+
+def _require_vertex_count(n) -> None:
+    if not isinstance(n, int) or n < 0:
+        raise DomainError("bad_vertex_count", f"vertex_count must be a nonnegative integer, got {n!r}")
+
+
+def _check_row_bits(n: int, rows) -> None:
+    """Every bit names a vertex below n and no row holds its own bit: the
+    checks that need no symmetry walk."""
+    top = max(rows, default=0)
+    if top >> n:
+        v = next(v for v, row in enumerate(rows) if row >> n)
+        raise DomainError("bad_edge", f"row {v} holds a vertex out of range for n={n}")
+    if top:
+        for v, row in enumerate(rows):
+            if row >> v & 1:
+                raise DomainError("self_loop", f"self-loop at vertex {v}")
+
+
+def _check_labels(n: int, labels) -> None:
+    if labels is not None:
+        if len(labels) != n:
+            raise DomainError("bad_labels", f"expected {n} labels, got {len(labels)}")
+        if len(set(labels)) != n:
+            raise DomainError("bad_labels", "labels must be pairwise distinct")
+
+
+def _graph_from_rows(n: int, rows: tuple[int, ...], labels=None) -> Graph:
+    """The Graph on rows that are symmetric by construction.
+
+    Skips the public constructor's symmetry walk and keeps the O(n) checks
+    of `_check_row_bits`.
+    """
+    _check_row_bits(n, rows)
+    _check_labels(n, labels)
+    g = object.__new__(Graph)
+    g.__dict__.update(vertex_count=n, rows=rows, labels=labels)
+    return g
+
+
+_NO_PAIR = object()
 
 
 def make_graph(n: int, edges, labels=None) -> Graph:
-    """Build a Graph from any iterable of vertex pairs; (u,v) and (v,u) collapse."""
-    normalized = set()
-    for pair in edges:
-        u, v = pair
-        if not isinstance(u, int) or not isinstance(v, int):
-            raise DomainError("bad_edge", f"edge endpoints must be integers, got {pair!r}")
-        normalized.add((u, v) if u < v else (v, u))
-    label_tuple = tuple(labels) if labels is not None else None
-    return Graph(n, frozenset(normalized), label_tuple)
+    """Build a Graph from any iterable of vertex pairs; (u,v) and (v,u) collapse.
+
+    Each pair is checked and ORed into the rows in one walk, so the first
+    bad pair in iteration order is the one reported.  The size of the rows
+    is checked against a `graph_rows` meter before they are allocated:
+    n * ceil(n / 64) words when there is an edge, and n words, one per row,
+    when there is none.
+    """
+    _require_vertex_count(n)
+    pairs = iter(edges)
+    first = next(pairs, _NO_PAIR)
+    meter = WorkMeter("graph_rows")
+    if first is _NO_PAIR:
+        meter.check_size(n, "graph rows")
+        rows = (0,) * n
+    else:
+        meter.check_size(_row_words(n), "graph rows")
+        grid = [0] * n
+        for pair in itertools.chain((first,), pairs):
+            u, v = pair
+            if not isinstance(u, int) or not isinstance(v, int):
+                raise DomainError("bad_edge", f"edge endpoints must be integers, got {pair!r}")
+            if u > v:
+                u, v = v, u
+            if u == v:
+                raise DomainError("self_loop", f"self-loop at vertex {u}")
+            if u < 0 or v >= n:
+                raise DomainError("bad_edge", f"edge {(u, v)!r} out of range or not normalized for n={n}")
+            grid[u] |= 1 << v
+            grid[v] |= 1 << u
+        rows = tuple(grid)
+    return _graph_from_rows(n, rows, tuple(labels) if labels is not None else None)
+
+
+def edge_pairs(g: Graph) -> list[tuple[int, int]]:
+    """Every edge (a, b), a < b, in ascending order, read off the rows."""
+    return [(a, a + 1 + k) for a, row in enumerate(g.rows) for k in _bits(row >> (a + 1))]
 
 
 @lru_cache(maxsize=None)
 def adjacency(g: Graph) -> tuple[frozenset[int], ...]:
     """Neighbor sets, one frozenset per vertex."""
-    sets: list[set[int]] = [set() for _ in range(g.vertex_count)]
-    for u, v in g.edges:
-        sets[u].add(v)
-        sets[v].add(u)
-    return tuple(frozenset(s) for s in sets)
+    return tuple(frozenset(_bits(row)) for row in g.rows)
 
 
 def _require_nonempty(g: Graph) -> None:
@@ -255,16 +318,6 @@ def _spread(mask: int, width: int) -> int:
     return out
 
 
-def _graph_from_rows(rows: list[int]) -> Graph:
-    """The graph with these symmetric neighbour rows, which become its row cache."""
-    edges = []
-    for a, row in enumerate(rows):
-        edges.extend((a, a + 1 + k) for k in _bits(row >> (a + 1)))
-    g = Graph(len(rows), frozenset(edges))
-    g.__dict__["rows"] = tuple(rows)  # where cached_property keeps its value
-    return g
-
-
 def _product_guard(n: int) -> None:
     WorkMeter("graph_product").check_size(_row_words(n), "product rows")
 
@@ -288,7 +341,7 @@ def or_product(g: Graph, h: Graph) -> Graph:
     for g_row in g.rows:
         blocks = _spread(g_row, nh) * block
         rows.extend(blocks | h_row for h_row in h_everywhere)
-    return _graph_from_rows(rows)
+    return _graph_from_rows(len(rows), tuple(rows))
 
 
 def and_product(g: Graph, h: Graph) -> Graph:
@@ -307,7 +360,7 @@ def and_product(g: Graph, h: Graph) -> Graph:
     for i, g_row in enumerate(g.rows):
         slots = _spread(g_row | 1 << i, nh)
         rows.extend(slots * closed ^ 1 << (i * nh + j) for j, closed in enumerate(h_closed))
-    return _graph_from_rows(rows)
+    return _graph_from_rows(len(rows), tuple(rows))
 
 
 def _require_power(t: int) -> None:
@@ -315,9 +368,22 @@ def _require_power(t: int) -> None:
         raise DomainError("bad_power", f"power t must be >= 1, got {t}")
 
 
+def _capped_power(base: int, t: int, limit: int) -> int:
+    """base**t, or a number over limit when base**t is; the exponent is
+    capped at limit's bit length, past which base**t overshoots unless base <= 1."""
+    return base ** min(t, limit.bit_length())
+
+
 def _power(g: Graph, t: int, product) -> Graph:
+    """The t-fold power by t - 1 products, each no larger than the last.
+
+    Their rows' words, t - 1 times the power's, are checked against a
+    `graph_product` meter first, so a one-vertex graph cannot loop for a huge t.
+    """
     _require_power(t)
     _require_nonempty(g)
+    meter = WorkMeter("graph_product")
+    meter.check_size((t - 1) * _row_words(_capped_power(g.vertex_count, t, meter.limit)), "power rows")
     result = g
     for _ in range(t - 1):
         result = product(result, g)
@@ -397,11 +463,15 @@ def product_sets(base_sets, n: int, t: int) -> list[tuple[int, ...]]:
     Tuples come in `itertools.product` order over `base_sets`, and each
     product's members are encoded through the sequence numbering of an
     n-vertex graph's t-fold power; base sets in ascending order give members
-    in ascending order.  The family's size, sets times the largest set's
-    members, is checked against a `mis_enumeration` meter before it is built.
+    in ascending order.  The family's size is checked against a
+    `mis_enumeration` meter before it is built: each of the |sets|**t
+    products holds its t factors and at most alpha**t members, so the size
+    is |sets|**t * (t + alpha**t).
     """
     alpha = max(map(len, base_sets))
-    WorkMeter("mis_enumeration").check_size(len(base_sets) ** t * alpha**t, "product MIS family")
+    meter = WorkMeter("mis_enumeration")
+    size = _capped_power(len(base_sets), t, meter.limit) * (t + _capped_power(alpha, t, meter.limit))
+    meter.check_size(size, "product MIS family")
     out = []
     for combo in itertools.product(base_sets, repeat=t):
         members = (0,)

@@ -11,15 +11,71 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import chain
+from json.encoder import encode_basestring
 
 from .errors import DomainError
-from .graphs import Graph, make_graph
+from .graphs import Graph, edge_pairs, make_graph
 from .leakage import BoundsReport, GuessBudget, StochasticMapping, make_mapping
 from .rationals import bits_display, format_ratio, parse_ratio
 
 
 def canonical_json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    """The bytes of `json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False)`
+    plus a newline, UTF-8 encoded.
+
+    With `indent` set, json runs its pure-Python encoder over every value.
+    Here dicts with str keys, lists and tuples are laid out directly,
+    strings go through json's C string encoder, a list of strings is
+    joined from it, and a list of ints or of int lists is written by the
+    compact C encoder and re-indented by fixed string replacements.  Every
+    other value (floats, bools, None, dicts with other keys) is written by
+    `json.dumps` itself and indented to its depth: its output holds no raw
+    newline but the ones it lays out.
+    """
+    return (_encode(obj, "\n") + "\n").encode("utf-8")
+
+
+# only ever given int lists, which cannot hold themselves, so the cycle check is skipped
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
+def _encode(o, newline: str) -> str:
+    """o laid out as `json.dumps(o, sort_keys=True, indent=2, ensure_ascii=False)`,
+    with newline (a newline plus the indent of o's depth) starting its lines."""
+    kind = type(o)
+    if kind is str:
+        return encode_basestring(o)
+    if kind is int:
+        return int.__repr__(o)
+    inner = newline + "  "
+    if kind is dict and all(type(k) is str for k in o):
+        if not o:
+            return "{}"
+        items = (encode_basestring(k) + ": " + _encode(v, inner) for k, v in sorted(o.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not o:
+            return "[]"
+        kinds = set(map(type, o))
+        if kinds == {int}:
+            return "[" + inner + _compact(o)[1:-1].replace(",", "," + inner) + newline + "]"
+        if kinds == {str}:
+            return "[" + inner + ("," + inner).join(map(encode_basestring, o)) + newline + "]"
+        if kinds <= {list, tuple} and set(map(type, chain.from_iterable(o))) <= {int}:
+            return _int_lists(o, newline, inner)
+        return "[" + inner + ("," + inner).join([_encode(v, inner) for v in o]) + newline + "]"
+    return json.dumps(o, sort_keys=True, indent=2, ensure_ascii=False).replace("\n", newline)
+
+
+def _int_lists(o, newline: str, inner: str) -> str:
+    """A nonempty list of int lists, from its compact form: "E" stands for an
+    empty member list and NUL for a comma between members while the commas
+    and brackets inside members are re-indented."""
+    deeper = inner + "  "
+    body = _compact(o)[1:-1].replace("[]", "E").replace("],", "]\0").replace("E,", "E\0")
+    body = body.replace(",", "," + deeper).replace("[", "[" + deeper).replace("]", inner + "]")
+    body = body.replace("\0", "," + inner).replace("E", "[]")
+    return "[" + inner + body + newline + "]"
 
 
 def load_json_file(path: str, what: str):
@@ -44,7 +100,7 @@ def _require_keys(obj, required: set[str], optional: set[str], what: str, code: 
 
 
 def graph_to_obj(g: Graph) -> dict:
-    obj: dict = {"n": g.vertex_count, "edges": [list(e) for e in sorted(g.edges)]}
+    obj: dict = {"n": g.vertex_count, "edges": list(map(list, edge_pairs(g)))}
     if g.labels is not None:
         obj["labels"] = list(g.labels)
     return obj
@@ -58,14 +114,18 @@ def graph_from_obj(obj) -> Graph:
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise DomainError("bad_graph_json", '"edges" must be a list of vertex pairs')
-    for e in edges:
-        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
-            raise DomainError("bad_graph_json", f"edge {e!r} must be a pair of integers")
     labels = obj.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise DomainError("bad_graph_json", '"labels" must be a list of strings')
-    return make_graph(n, edges, labels)
+    # each edge's types are checked as make_graph's walk reaches it
+    return make_graph(n, map(_json_pair, edges), labels)
+
+
+def _json_pair(e):
+    if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+        raise DomainError("bad_graph_json", f"edge {e!r} must be a pair of integers")
+    return e
 
 
 def mapping_to_obj(m: StochasticMapping) -> dict:

@@ -5,7 +5,7 @@ default as a class attribute, as a frozen dataclass would:
 
     class Graph(FrozenValue):
         vertex_count: int
-        edges: frozenset[tuple[int, int]]
+        rows: tuple[int, ...]
         labels: tuple[str, ...] | None = None
 
 `FrozenValue` reads the field names once, when the subclass is created, and

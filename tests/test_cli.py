@@ -243,6 +243,20 @@ PINNED_SHA256 = [
         ("bounds-multi", "--graph", "fixture:petersen", "--budget", "exp:2/1"),
         "9adfa40df08c7d5f673b9f2165bb7cb79a42cf404b610ffe6365f37e3350480a",
     ),
+    # recorded before graphs were stored as rows and the encoder skipped
+    # json's pure-Python path; {petersen_or2} is the OR square of Petersen
+    (
+        ("product", "--op", "and", "--graph", "fixture:petersen", "--graph", "fixture:petersen"),
+        "976bc58e553323c48d633b1af1ecaf7249f63b0d0f580da342fdcf54164904d2",
+    ),
+    (
+        ("product", "--op", "or", "--graph", "fixture:c7", "--graph", "fixture:c7"),
+        "7f9ecded2916229302cebb44dab093bb74012c65e913e35bb0ade735fa09262c",
+    ),
+    (
+        ("mis", "--graph", "{petersen_or2}"),
+        "f773612453f8e82798e7ebed380448f5be5496de67f7f4ff96e3193656a60e6a",
+    ),
 ]
 
 
@@ -251,6 +265,12 @@ def test_pinned_outputs(capsysbinary, tmp_path):
         f"ones{t}": "table:" + write_json(tmp_path, f"ones{t}.json", {"values": [1] * t, "growth": "1/1"})
         for t in (2, 3, 4)
     }
+    tables["petersen_or2"] = str(tmp_path / "petersen_or2.json")
+    code, _, _ = run_main(
+        capsysbinary, "product", "--op", "or", "--graph", "fixture:petersen", "--graph", "fixture:petersen",
+        "--out", tables["petersen_or2"],
+    )
+    assert code == 0
     for args, expected in PINNED_ORACLE:
         code, out, _ = run_main(capsysbinary, "oracle", args[0], "--graph", "fixture:c5", "--seed", "1", *args[1:])
         assert code == 0
@@ -430,6 +450,13 @@ def test_optimal_witness_size_is_checked_before_it_is_built(capsysbinary):
     error = json.loads(err)["error"]
     assert error["code"] == "budget_exceeded"
     assert error["detail"]["budget"] == "witness_cells"
+
+
+def test_power_length_is_metered_on_a_one_vertex_graph(capsysbinary):
+    # every size is 1 here, so only counting the t factors can stop the loops
+    code, out, err = run_main(capsysbinary, "leakage-optimal", "--graph", "fixture:e1", "--t", "100000000")
+    assert code == 2 and out == b""
+    assert json.loads(err)["error"]["detail"]["budget"] == "mis_enumeration"
 
 
 def test_graph_rows_guard_precedes_allocation(capsysbinary, tmp_path, monkeypatch):

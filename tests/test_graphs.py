@@ -4,6 +4,7 @@ import pytest
 
 from zeroleak import (
     DomainError,
+    Graph,
     ResourceBudgetError,
     and_power,
     and_product,
@@ -32,6 +33,28 @@ def test_make_graph_normalizes_edges():
     assert g.edges == frozenset({(0, 2), (1, 2)})
     assert g.has_edge(2, 0) and g.has_edge(0, 2)
     assert not g.has_edge(0, 1)
+
+
+def test_graph_from_rows_checks_the_rows():
+    g = Graph(3, (0b110, 0b001, 0b001), ("a", "b", "c"))
+    assert g == make_graph(3, [(0, 1), (0, 2)], ("a", "b", "c"))
+    assert g.edges == frozenset({(0, 1), (0, 2)}) and g.edge_count == 2
+    bad = [
+        ((0b010, 0b000), "bad_rows"),  # asymmetric
+        ((0b011, 0b001), "self_loop"),
+        ((0b110, 0b001), "bad_edge"),  # bit 2 names no vertex of a 2-vertex graph
+        ((0b10,), "bad_rows"),  # one row for two vertices
+        ((0b10, 0b01, 0), "bad_rows"),
+        ([0b10, 0b01], "bad_rows"),  # not a tuple
+        ((-2, -3), "bad_rows"),
+    ]
+    for rows, code in bad:
+        with pytest.raises(DomainError) as e:
+            Graph(2, rows)
+        assert e.value.code == code, rows
+    with pytest.raises(DomainError) as e:
+        Graph(-1, ())
+    assert e.value.code == "bad_vertex_count"
 
 
 def test_make_graph_rejects_bad_input():

@@ -27,7 +27,7 @@ from zeroleak.jsonio import (
     mapping_to_obj,
 )
 from zeroleak.oracle import _first_mergeable_pair
-from zeroleak.graphs import or_power
+from zeroleak.graphs import Graph, and_product, or_power, or_product
 
 settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
@@ -147,3 +147,71 @@ def test_canonical_json_is_stable(g):
     first = canonical_json_bytes(graph_to_obj(g))
     second = canonical_json_bytes(graph_to_obj(graph_from_obj(json.loads(first))))
     assert first == second
+
+
+def _stdlib_bytes(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+_ints = st.one_of(st.integers(-5, 5), st.integers(), st.integers(-(10**40), 10**40))
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    _ints,
+    st.floats(),
+    st.just(-0.0),
+    st.just(float("nan")),
+    st.text(),
+    st.text(alphabet='"\\\x00\x01\x1f\x7f\n\t,[]{}E: é€😀\u2028'),
+)
+_json_trees = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.dictionaries(st.text(), children),
+        st.dictionaries(st.integers(), children, max_size=3),
+        st.lists(_ints),
+        st.lists(st.lists(_ints)),
+        st.lists(st.one_of(_ints, st.booleans())),
+        st.lists(st.lists(st.one_of(_ints, st.booleans(), st.none()))),
+        st.lists(st.text()),
+        st.lists(st.lists(st.text())),
+        st.lists(st.lists(st.one_of(st.text(), _ints))),
+        st.tuples(_ints, _ints),
+        st.sampled_from([[], [[]], {}, [[], [1]], [[1], []], [{}], [[[]]], [[1, [2]]]]),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_json_trees)
+def test_canonical_json_bytes_are_the_stdlib_bytes(obj):
+    assert canonical_json_bytes(obj) == _stdlib_bytes(obj)
+
+
+def test_canonical_json_bytes_of_deep_nesting():
+    obj = 7
+    for depth in range(300):
+        obj = [obj, [depth, -depth]] if depth % 2 else {"k": obj, "ints": [[depth]], "s": ["a\\"]}
+    assert canonical_json_bytes(obj) == _stdlib_bytes(obj)
+
+
+@given(
+    st.integers(min_value=2, max_value=9).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    )
+)
+def test_decoding_pair_lists_equals_make_graph(case):
+    n, pairs = case
+    pairs = [(u, v) for u, v in pairs if u != v]
+    g = graph_from_obj({"n": n, "edges": [[u, v] for u, v in pairs]})
+    assert g == make_graph(n, pairs)
+    assert g.edges == {(min(p), max(p)) for p in pairs}
+    assert Graph(n, g.rows) == g
+
+
+@given(graphs(max_n=4), graphs(max_n=4))
+def test_products_pass_the_public_validator(g, h):
+    for product in (or_product, and_product):
+        p = product(g, h)
+        assert Graph(p.vertex_count, p.rows) == p

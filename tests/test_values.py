@@ -29,7 +29,7 @@ HALF = F(1, 2)
 
 # per type: its field names in order, and a function returning fresh, equal field values
 EXAMPLES = {
-    Graph: (("vertex_count", "edges", "labels"), lambda: (3, frozenset({(0, 1), (1, 2)}), ("a", "b", "c"))),
+    Graph: (("vertex_count", "rows", "labels"), lambda: (3, (0b010, 0b101, 0b010), ("a", "b", "c"))),
     Hypergraph: (("vertex_ids", "hyperedges"), lambda: ((0, 1, 2), ((0, 1), (2,)))),
     VertexSetFamily: (("sets", "multiplicities"), lambda: (((0,), (1, 2)), (1, 2))),
     LinearProgram: (
@@ -79,9 +79,9 @@ def test_positional_and_keyword_construction_agree(cls):
 
 
 def test_defaults_fill_the_trailing_fields():
-    edges = frozenset({(0, 1)})
-    assert Graph(2, edges).labels is None
-    assert Graph(2, edges) == Graph(2, edges, None) == Graph(vertex_count=2, edges=edges)
+    rows = (0b10, 0b01)
+    assert Graph(2, rows).labels is None
+    assert Graph(2, rows) == Graph(2, rows, None) == Graph(vertex_count=2, rows=rows)
     budgets = [
         (GuessBudget("constant", 3), "count", 3),
         (GuessBudget("polynomial", degree=2), "degree", 2),
@@ -158,8 +158,8 @@ def test_repr_names_the_class_and_its_fields(cls):
 
 def test_derived_properties_are_cached():
     graph = build(Graph)
-    assert graph.rows is graph.rows
-    assert graph.rows == (0b010, 0b101, 0b010)
+    assert graph.edges is graph.edges
+    assert graph.edges == frozenset({(0, 1), (1, 2)})
     mapping = build(StochasticMapping)
     assert mapping.supports is mapping.supports
     assert mapping.supports == (0b011, 0b101)
