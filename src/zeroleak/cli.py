@@ -16,6 +16,7 @@ from .errors import DomainError, ZeroleakError
 from .fixtures import resolve_fixture
 from .graphs import (
     Graph,
+    _require_nonempty,
     and_product,
     independence_number,
     is_vertex_transitive,
@@ -239,8 +240,7 @@ def _cmd_bounds_multi_approx(args) -> dict:
 
 def _prior_grid(g: Graph, r: int) -> DistributionGrid:
     """The prior grid on g's vertices; an empty graph is refused as every other check refuses it."""
-    if g.vertex_count == 0:
-        raise DomainError("empty_graph", "operation requires a graph with at least one vertex")
+    _require_nonempty(g)
     return distribution_grid(g.vertex_count, r)
 
 

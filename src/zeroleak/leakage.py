@@ -22,6 +22,7 @@ from .budget import AUTOMORPHISM_VERTEX_CAP, WorkMeter
 from .errors import DomainError, ZeroleakError
 from .graphs import (
     Graph,
+    _capped_power,
     _require_power,
     VertexSetFamily,
     first_edge_within,
@@ -41,7 +42,7 @@ from .programs import (
     fractional_packing,
     min_cover_size,
 )
-from .rationals import bits_display
+from .rationals import _over_one_denominator, bits_display
 from .values import FrozenValue
 
 
@@ -262,8 +263,7 @@ def optimal_leakage_t(gamma: Graph, t: int) -> OptimalLeakage:
     kappa_scale, kappa = _over_one_denominator(coloring.weights)
     y_scale, y = _over_one_denominator(coloring.vertex_weights)
     meter = WorkMeter("witness_cells")
-    # an exponent past the limit's bit length already overshoots unless the base is 1
-    meter.check_size((n * sum(map(bool, kappa))) ** min(t, meter.limit.bit_length()), "optimal witness")
+    meter.check_size(_capped_power(n * sum(map(bool, kappa)), t, meter.limit), "optimal witness")
 
     def uncertified(what: str):
         return ZeroleakError("internal_error", f"tensor certificate on the OR power: {what}")
@@ -306,12 +306,6 @@ def optimal_leakage_t(gamma: Graph, t: int) -> OptimalLeakage:
     return OptimalLeakage(t, value, witness, witness_value, witness_value.log2_of == value.log2_of)
 
 
-def _over_one_denominator(fractions) -> tuple[int, list[int]]:
-    """The least common denominator d and each fraction times d."""
-    d = math.lcm(*(q.denominator for q in fractions))
-    return d, [q.numerator * (d // q.denominator) for q in fractions]
-
-
 def leakage_rate(gamma: Graph) -> LeakageValue:
     """Per-symbol optimal leakage in the long run: log2 of the fractional chromatic number."""
     return LeakageValue(fractional_chromatic(gamma).value)
@@ -345,10 +339,10 @@ def b_fold_coloring_from_weights(gamma: Graph, weights) -> FoldedColoring:
         if sum(w for s, w in zip(sets, weight_list) if s >> x & 1) < 1:
             raise DomainError("infeasible_weights", f"vertex {x} is covered to total weight < 1")
 
-    b = math.lcm(*(w.denominator for w in weight_list))
+    b, counts = _over_one_denominator(weight_list)
     occurrences: list[int] = []
-    for s, w in zip(sets, weight_list):
-        occurrences.extend([s] * int(w * b))
+    for s, k in zip(sets, counts):
+        occurrences.extend([s] * k)
 
     for x in range(n):
         holding = [k for k, occ in enumerate(occurrences) if occ >> x & 1]
@@ -637,7 +631,10 @@ def multi_approx_guess_bounds(gamma: Graph, theta: Graph, budget: GuessBudget) -
     Every maximal independent set of gamma's OR power is a product
     S1 x ... x St of base sets, and its trace family is the product of the
     base sets' trace families, so the cap never builds the powers: it takes
-    the covering number once per tuple of distinct base families.
+    the covering number once per tuple of distinct base families.  One
+    `mis_enumeration` meter serves every cap: each checks the size of the
+    product MIS family and spends the factors it builds, t per tuple, so a
+    long table budget cannot loop unmetered.
     """
     _require_same_vertices(gamma, theta)
     families = _base_trace_families(gamma, theta)
@@ -645,10 +642,13 @@ def multi_approx_guess_bounds(gamma: Graph, theta: Graph, budget: GuessBudget) -
     kf_max = _max_fractional_covering(families, kf_cache)
     distinct = tuple(dict.fromkeys(families))
     alpha = max(w for w, _ in families)
+    meter = WorkMeter("mis_enumeration")
 
     def cap_at(t: int) -> int:
-        meter = WorkMeter("mis_enumeration")
-        meter.check_size(len(families) ** t * alpha**t, "product MIS family")
+        limit = meter.limit
+        size = _capped_power(len(families), t, limit) * _capped_power(alpha, t, limit)
+        meter.check_size(size, "product MIS family")
+        meter.spend(_capped_power(len(distinct), t, limit) * t)
         best = 0
         for combo in itertools.product(distinct, repeat=t):
             width, masks = product_traces(combo)

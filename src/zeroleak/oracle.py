@@ -38,7 +38,7 @@ from .leakage import (
     validate_mapping,
 )
 from .programs import fractional_chromatic, fractional_packing, maximin_eta
-from .rationals import format_ratio
+from .rationals import _over_one_denominator, format_ratio
 from .values import FrozenValue
 
 
@@ -181,8 +181,7 @@ def rho_fixed_px(m: StochasticMapping, px, fam: GuessFamily) -> Fraction:
         raise DomainError("bad_distribution", "prior must sum to 1")
     if any(p <= 0 for p in probs):
         raise DomainError("zero_mass_symbol", "prior must give every symbol positive mass")
-    scale = math.lcm(*(p.denominator for p in probs))
-    ks = [int(p * scale) for p in probs]
+    _, ks = _over_one_denominator(probs)
     return _rho_from_ints(m.counts, m.denominator, fam, _sequence_weights(ks, m.t, n))
 
 
@@ -195,8 +194,7 @@ def worst_case_rho(m: StochasticMapping, fam: GuessFamily, grid: DistributionGri
         raise DomainError("dimension_mismatch", f"grid is over {grid.alphabet_size} symbols, alphabet has {n}")
     best = None
     for px in grid.points:
-        scale = math.lcm(*(p.denominator for p in px))
-        ks = [int(p * scale) for p in px]
+        _, ks = _over_one_denominator(px)
         value = _rho_from_ints(m.counts, m.denominator, fam, _sequence_weights(ks, m.t, n))
         if best is None or value > best:
             best = value

@@ -3,14 +3,18 @@
 Four linear programs (fractional chromatic number, maximin split weight,
 fractional covering of a hypergraph, fractional closed-neighborhood packing)
 plus exact integer set cover.  All values are exact rationals from the
-one-phase simplex in `lp`, so every program is posed as a packing LP: `<=`
-rows with nonnegative right-hand sides.  The two covering programs are
-solved as their packing duals, and their cover weights are that LP's row
-prices; by LP duality both forms have the same optimum.  The covering core
-works on hyperedges as int masks over vertex ranks, with an inclusion-based
-presolve and a per-operation cache of LP optima by rank-space shape,
-because a covering search and the approximate-guess bounds solve many tiny
-instances of few shapes.
+one-phase simplex in `lp`, so every program is posed in its one shape: a
+maximum over integer `<=` rows with nonnegative right-hand sides.  Three of
+them are unit packings over 0/1 rows, built by one helper: maximize the
+weight on some vertices with every set (a maximal independent set, a kept
+hyperedge, a closed neighborhood) summing to <= 1.  The two covering
+programs are solved as such packing duals, and their cover weights are that
+LP's row prices; by LP duality both forms have the same optimum.  The
+maximin split builds its own rows, with -1 entries and zero right-hand
+sides.  The covering core works on hyperedges as int masks over vertex
+ranks, with an inclusion-based presolve and a per-operation cache of LP
+optima by rank-space shape, because a covering search and the
+approximate-guess bounds solve many tiny instances of few shapes.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .budget import WorkMeter
-from .errors import DomainError, ZeroleakError
+from .errors import DomainError
 from .graphs import Graph, Hypergraph, maximal_independent_sets, rank_masks, vertex_mask
-from .lp import LESS_EQUAL, LpSolution, make_lp, solve_lp
+from .lp import LinearProgram, LpSolution, solve_lp
 
 
 class WeightedFamily(NamedTuple):
@@ -51,10 +55,15 @@ class WeightedVertices(NamedTuple):
     weights: tuple[Fraction, ...]
 
 
-def _optimal(solution: LpSolution, what: str) -> LpSolution:
-    if solution.status != "optimal":
-        raise ZeroleakError("internal_error", f"{what} program came back {solution.status}")
-    return solution
+def _unit_packing(masks, columns) -> LpSolution:
+    """Maximize the total weight on `columns` with every mask summing to <= 1.
+
+    One column per bit position in `columns` and one row per mask, with a 1
+    where the mask has that bit: the assignment is the column weights, the
+    duals the mask prices.
+    """
+    rows = tuple((tuple(mask >> v & 1 for v in columns), 1) for mask in masks)
+    return solve_lp(LinearProgram((1,) * len(columns), rows))
 
 
 def _mis_masks(g: Graph):
@@ -74,10 +83,7 @@ def fractional_chromatic(g: Graph) -> FractionalColoring:
     is 1 exactly when the graph has no edges.
     """
     sets, masks = _mis_masks(g)
-    n = g.vertex_count
-    constraints = [([s >> x & 1 for x in range(n)], LESS_EQUAL, 1) for s in masks]
-    program = make_lp("max", [1] * n, constraints)
-    solution = _optimal(solve_lp(program), "fractional chromatic")
+    solution = _unit_packing(masks, range(g.vertex_count))
     return FractionalColoring(solution.value, sets, solution.duals, solution.assignment)
 
 
@@ -94,10 +100,9 @@ def maximin_eta(g: Graph) -> WeightedFamily:
     """
     sets, masks = _mis_masks(g)
     m = len(sets)
-    constraints = [([-(s >> x & 1) for s in masks] + [1], LESS_EQUAL, 0) for x in range(g.vertex_count)]
-    constraints.append(([1] * m + [0], LESS_EQUAL, 1))
-    program = make_lp("max", [0] * m + [1], constraints)
-    solution = _optimal(solve_lp(program), "maximin split")
+    rows = [(tuple(-(s >> x & 1) for s in masks) + (1,), 0) for x in range(g.vertex_count)]
+    rows.append(((1,) * m + (0,), 1))
+    solution = solve_lp(LinearProgram((0,) * m + (1,), tuple(rows)))
     return WeightedFamily(solution.value, sets, solution.assignment[:m])
 
 
@@ -177,9 +182,7 @@ def _kf_lp(edges: tuple[int, ...], kf_cache: dict):
         weights[full] = Fraction(1)
     else:
         kept = [v for v in range(width) if keep_vertices >> v & 1]
-        constraints = [([edges[i] >> v & 1 for v in kept], LESS_EQUAL, 1) for i in keep_edges]
-        program = make_lp("max", [1] * len(kept), constraints)
-        solution = _optimal(solve_lp(program), "fractional covering")
+        solution = _unit_packing((edges[i] for i in keep_edges), kept)
         value = solution.value
         for i, w in zip(keep_edges, solution.duals):
             weights[i] = w
@@ -270,9 +273,6 @@ def fractional_packing(theta: Graph) -> WeightedVertices:
     """
     if theta.vertex_count == 0:
         raise DomainError("empty_graph", "packing needs a nonempty graph")
-    n = theta.vertex_count
     neighborhoods = dict.fromkeys(row | 1 << v for v, row in enumerate(theta.rows))
-    constraints = [([hood >> v & 1 for v in range(n)], LESS_EQUAL, 1) for hood in neighborhoods]
-    program = make_lp("max", [1] * n, constraints)
-    solution = _optimal(solve_lp(program), "fractional packing")
+    solution = _unit_packing(neighborhoods, range(theta.vertex_count))
     return WeightedVertices(solution.value, solution.assignment)

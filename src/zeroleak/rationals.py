@@ -4,8 +4,9 @@
 always reduced, keeps a positive denominator, and never rounds.  The hot
 inner representations are fraction-free instead: the simplex tableau and
 stochastic mappings hold integers over one common denominator and hand out
-Fractions only at their edges.  This module only adds the wire format ("p/q"
-strings) and the display-only bits rendering.
+Fractions only at their edges.  This module adds the wire format ("p/q"
+strings), the display-only bits rendering, and the one step that puts a list
+of fractions over their least common denominator.
 """
 
 from __future__ import annotations
@@ -36,6 +37,12 @@ def parse_ratio(text: str) -> Fraction:
     if den == 0:
         raise DomainError("bad_rational", f"zero denominator in {text!r}")
     return Fraction(num, den)
+
+
+def _over_one_denominator(fractions) -> tuple[int, list[int]]:
+    """The least common denominator d and each fraction times d."""
+    d = math.lcm(*(q.denominator for q in fractions))
+    return d, [q.numerator * (d // q.denominator) for q in fractions]
 
 
 def format_ratio(value: Fraction) -> str:

@@ -459,6 +459,21 @@ def test_power_length_is_metered_on_a_one_vertex_graph(capsysbinary):
     assert json.loads(err)["error"]["detail"]["budget"] == "mis_enumeration"
 
 
+def test_a_long_table_budget_is_metered_on_a_one_vertex_graph(capsysbinary, tmp_path):
+    # each cap builds a t-factor product, so a table of T entries costs about
+    # T**2 / 2 factors; one meter across the caps stops it within the budget
+    table = write_json(tmp_path, "table.json", {"values": [1] * 8000})
+    code, out, err = run_main(
+        capsysbinary,
+        "bounds-multi-approx",
+        "--graph", "fixture:e1",
+        "--theta", "fixture:e1",
+        "--budget", f"table:{table}",
+    )
+    assert code == 2 and out == b""
+    assert json.loads(err)["error"]["detail"]["budget"] == "mis_enumeration"
+
+
 def test_graph_rows_guard_precedes_allocation(capsysbinary, tmp_path, monkeypatch):
     # 130 neighbour rows of 130 bits take 390 words
     n = 130

@@ -1,98 +1,77 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from zeroleak import DomainError, ResourceBudgetError, ZeroleakError
-from zeroleak.lp import LESS_EQUAL, _validate, make_lp, solve_lp
+from zeroleak.lp import LinearProgram, _validate, solve_lp
 
 
 def test_known_max():
     # max 3x + 2y s.t. x + y <= 4, x + 3y <= 6; optimum at (4, 0)
-    lp = make_lp(
-        "max",
-        [3, 2],
-        [([1, 1], LESS_EQUAL, 4), ([1, 3], LESS_EQUAL, 6)],
-    )
+    lp = LinearProgram((3, 2), (((1, 1), 4), ((1, 3), 6)))
     sol = solve_lp(lp)
-    assert sol.status == "optimal"
     assert sol.value == 12
     assert sol.assignment == (Fraction(4), Fraction(0))
-    # a max program's prices are >= 0: the first row binds at 3 per unit
+    # prices are >= 0: the first row binds at 3 per unit
     assert sol.duals == (Fraction(3), Fraction(0))
-
-
-def test_known_min():
-    # min -2x - 3y s.t. x + y <= 4, x + 3y <= 6; optimum (3, 1)
-    lp = make_lp(
-        "min",
-        [-2, -3],
-        [([1, 1], LESS_EQUAL, 4), ([1, 3], LESS_EQUAL, 6)],
-    )
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.value == -9
-    assert sol.assignment == (Fraction(3), Fraction(1))
-    # a min program's prices are <= 0, and still sum to the value against b
-    assert sol.duals == (Fraction(-3, 2), Fraction(-1, 2))
 
 
 def test_fractional_optimum_is_exact():
     # max x + y s.t. 3x + y <= 2, x + 3y <= 2; optimum (1/2, 1/2) -> 1
-    lp = make_lp(
-        "max",
-        [1, 1],
-        [([3, 1], LESS_EQUAL, 2), ([1, 3], LESS_EQUAL, 2)],
-    )
+    lp = LinearProgram((1, 1), (((3, 1), 2), ((1, 3), 2)))
     sol = solve_lp(lp)
     assert sol.value == 1
     assert sol.assignment == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_unbounded():
-    lp = make_lp("max", [1, 0], [([0, 1], LESS_EQUAL, 1)])
-    sol = solve_lp(lp)
-    assert sol.status == "unbounded"
-    assert sol.value is None and sol.assignment is None and sol.duals is None
+    # every program the package builds is bounded, so an unbounded one is a bug
+    with pytest.raises(ZeroleakError) as e:
+        solve_lp(LinearProgram((1, 0), (((0, 1), 1),)))
+    assert e.value.code == "internal_error"
 
 
 def test_boxed_variables():
-    lp = make_lp("max", [1, 1], _box_rows([2, Fraction(1, 2)]))
+    lp = LinearProgram((1, 1), _box_rows([2, Fraction(1, 2)]))
     sol = solve_lp(lp)
     assert sol.value == Fraction(5, 2)
     assert sol.assignment == (Fraction(2), Fraction(1, 2))
 
 
 def test_no_variables():
-    lp = make_lp("min", [], [([], LESS_EQUAL, 1)])
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
+    sol = solve_lp(LinearProgram((), (((), 1),)))
     assert sol.value == 0
     assert sol.assignment == () and sol.duals == (Fraction(0),)
 
 
 def test_validation_errors():
     with pytest.raises(DomainError) as e:
-        make_lp("best", [1], [])
-    assert e.value.code == "bad_lp"
-    with pytest.raises(DomainError) as e:
-        make_lp("min", [1], [([1, 2], LESS_EQUAL, 0)])
+        LinearProgram((1,), (((1, 2), 0),))
     assert e.value.code == "dimension_mismatch"
     with pytest.raises(DomainError) as e:
-        make_lp("min", [1], [([1], "<", 0)])
+        LinearProgram((1, 2.0), ())
     assert e.value.code == "bad_lp"
 
 
 @pytest.mark.parametrize(
-    "row",
-    [([1], ">=", 1), ([1], "=", 1), ([1], LESS_EQUAL, -1), ([1], LESS_EQUAL, Fraction(-1, 3))],
-    ids=["greater_equal", "equal", "negative_rhs", "negative_fractional_rhs"],
+    "objective, row",
+    [
+        ((1,), ((1,), -1)),
+        ((1,), ((1,), Fraction(-1, 3))),
+        ((1,), ((Fraction(1, 2),), 1)),
+        ((1,), ((1,), 1.0)),
+        ((Fraction(1),), ((1,), 1)),
+    ],
+    ids=["negative_rhs", "negative_fractional_rhs", "fractional_coefficient", "float_rhs", "fraction_objective"],
 )
-def test_rows_outside_the_packing_form_are_rejected(row):
-    # the all-slack basis is feasible only for <= rows with rhs >= 0
+def test_rows_outside_the_packing_form_are_rejected(objective, row):
+    # the all-slack basis is feasible only for <= rows with rhs >= 0, and the
+    # tableau takes its rows as they are, so every entry must be an int
     with pytest.raises(DomainError) as e:
-        make_lp("max", [1], [([1], LESS_EQUAL, 1), row])
+        LinearProgram(objective, (((1,), 1), row))
     assert e.value.code == "bad_lp"
 
 
@@ -103,15 +82,14 @@ def test_random_boxed_lps_against_vertex_enumeration():
     for _ in range(40):
         nvars = rng.randint(1, 3)
         nrows = rng.randint(0, 3)
-        objective = [Fraction(rng.randint(-3, 3)) for _ in range(nvars)]
+        objective = [rng.randint(-3, 3) for _ in range(nvars)]
         constraints = []
         for _ in range(nrows):
-            coeffs = [Fraction(rng.randint(-2, 2)) for _ in range(nvars)]
-            constraints.append((coeffs, LESS_EQUAL, Fraction(rng.randint(0, 4))))
-        bounds = [Fraction(rng.randint(1, 3)) for _ in range(nvars)]
-        program = make_lp("max", objective, constraints + _box_rows(bounds))
+            coeffs = [rng.randint(-2, 2) for _ in range(nvars)]
+            constraints.append((coeffs, rng.randint(0, 4)))
+        bounds = [rng.randint(1, 3) for _ in range(nvars)]
+        program = LinearProgram(objective, constraints + _box_rows(bounds))
         sol = solve_lp(program)
-        assert sol.status == "optimal"  # box is nonempty and bounded
         best = _brute_boxed_max(objective, constraints, bounds)
         assert sol.value == best
         _assert_dual_certificate(program, sol)
@@ -123,13 +101,14 @@ def _assert_dual_certificate(program, sol):
     assert len(sol.duals) == len(rows)
     assert all(y >= 0 for y in sol.duals)
     for k, c in enumerate(program.objective):
-        assert sum(y * coeffs[k] for (coeffs, _rel, _rhs), y in zip(rows, sol.duals)) >= c
-    assert sum(y * rhs for (_coeffs, _rel, rhs), y in zip(rows, sol.duals)) == sol.value
+        assert sum(y * coeffs[k] for (coeffs, _rhs), y in zip(rows, sol.duals)) >= c
+    assert sum(y * rhs for (_coeffs, rhs), y in zip(rows, sol.duals)) == sol.value
 
 
 def test_random_fractional_rows_against_vertex_enumeration():
-    """Non-integer coefficients and right-hand sides exercise the per-row
-    integer scaling; two of the right-hand sides drawn are zero."""
+    """Rows drawn with Fraction entries, each scaled to integers: the same
+    feasible set, so the brute force over the Fraction rows still checks
+    non-unit coefficients; two of the right-hand sides drawn are zero."""
     rng = random.Random(7)
 
     def frac(lo, hi):
@@ -139,18 +118,21 @@ def test_random_fractional_rows_against_vertex_enumeration():
         nvars = rng.randint(1, 3)
         nrows = rng.randint(1, 3)
         objective = [frac(-3, 3) for _ in range(nvars)]
-        constraints = [([frac(-2, 2) for _ in range(nvars)], LESS_EQUAL, frac(0, 4)) for _ in range(nrows)]
+        constraints = [([frac(-2, 2) for _ in range(nvars)], frac(0, 4)) for _ in range(nrows)]
         bounds = [frac(1, 3) for _ in range(nvars)]
-        program = make_lp("max", objective, constraints + _box_rows(bounds))
+        # the objective times its scale has the same maximizers, and that times the optimum
+        scale = math.lcm(*(c.denominator for c in objective))
+        integer_objective = [int(c * scale) for c in objective]
+        integer_rows = [_integer_row(coeffs, rhs) for coeffs, rhs in constraints]
+        program = LinearProgram(integer_objective, integer_rows + _box_rows(bounds))
         sol = solve_lp(program)
-        assert sol.status == "optimal"
-        assert sol.value == _brute_boxed_max(objective, constraints, bounds)
+        assert sol.value == scale * _brute_boxed_max(objective, constraints, bounds)
         _assert_dual_certificate(program, sol)
 
 
 def test_pivots_are_charged_to_the_budget(monkeypatch):
     # five unit caps: Bland's rule brings in each variable with its own pivot
-    lp = make_lp("max", [1] * 5, [([1 if j == i else 0 for j in range(5)], LESS_EQUAL, 1) for i in range(5)])
+    lp = LinearProgram([1] * 5, [([1 if j == i else 0 for j in range(5)], 1) for i in range(5)])
     assert solve_lp(lp).value == 5
     monkeypatch.setenv("ZEROLEAK_BUDGET", "3")
     with pytest.raises(ResourceBudgetError) as e:
@@ -161,11 +143,7 @@ def test_pivots_are_charged_to_the_budget(monkeypatch):
 
 def test_validate_rejects_each_broken_certificate(monkeypatch):
     # max 2x + 3y + z s.t. x + y + z <= 4, y - x <= 0, 2x + z <= 5; optimum (2, 2, 0)
-    program = make_lp(
-        "max",
-        [2, 3, 1],
-        [([1, 1, 1], LESS_EQUAL, 4), ([-1, 1, 0], LESS_EQUAL, 0), ([2, 0, 1], LESS_EQUAL, 5)],
-    )
+    program = LinearProgram((2, 3, 1), (((1, 1, 1), 4), ((-1, 1, 0), 0), ((2, 0, 1), 5)))
     certificates = []
 
     def spy(*args):
@@ -176,7 +154,7 @@ def test_validate_rejects_each_broken_certificate(monkeypatch):
     sol = solve_lp(program)
     assert sol.value == 10 and sol.assignment == (2, 2, 0)
     [(_program, assignment, value, duals)] = certificates
-    # a max program's prices are >= 0; the slack third row has price 0
+    # prices are >= 0; the slack third row has price 0
     assert duals == (Fraction(5, 2), Fraction(1, 2), 0)
     assert sol.duals == duals
     _validate(program, assignment, value, duals)
@@ -196,8 +174,16 @@ def test_validate_rejects_each_broken_certificate(monkeypatch):
 
 
 def _box_rows(highs):
-    # each box [0, hi] as one row x_k <= hi; x_k >= 0 is the solver's own
-    return [([1 if j == k else 0 for j in range(len(highs))], LESS_EQUAL, hi) for k, hi in enumerate(highs)]
+    # each box [0, hi] as one integer row q x_k <= p for hi = p/q; x_k >= 0 is the solver's own
+    return [_integer_row([1 if j == k else 0 for j in range(len(highs))], hi) for k, hi in enumerate(highs)]
+
+
+def _integer_row(coeffs, rhs):
+    # the row times the lcm of its denominators: the same half-space in ints
+    values = [Fraction(c) for c in (*coeffs, rhs)]
+    scale = math.lcm(*(q.denominator for q in values))
+    ints = [q.numerator * (scale // q.denominator) for q in values]
+    return ints[:-1], ints[-1]
 
 
 def _brute_boxed_max(objective, constraints, bounds, steps: int = 6):
@@ -205,7 +191,7 @@ def _brute_boxed_max(objective, constraints, bounds, steps: int = 6):
     # all intersections of nvars active conditions drawn from rows and bounds
     nvars = len(objective)
     conditions = []
-    for coeffs, _rel, rhs in constraints:
+    for coeffs, rhs in constraints:
         conditions.append((coeffs, rhs))
     for k, hi in enumerate(bounds):
         unit = [Fraction(0)] * nvars
@@ -243,7 +229,7 @@ def _solve_square(rows, nvars):
 
 
 def _feasible(point, constraints, bounds):
-    for coeffs, _rel, rhs in constraints:
+    for coeffs, rhs in constraints:
         if sum(c * x for c, x in zip(coeffs, point)) > rhs:
             return False
     for x, hi in zip(point, bounds):

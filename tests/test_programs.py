@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from zeroleak import (
     or_power,
     resolve_fixture,
 )
-from zeroleak import programs
+from zeroleak import budget, programs
 from zeroleak.lp import solve_lp
 from zeroleak.programs import fractional_cover
 from helpers import (
@@ -114,6 +115,32 @@ def test_chromatic_of_the_petersen_or_square_fits_a_small_budget(monkeypatch):
     monkeypatch.setenv("ZEROLEAK_BUDGET", "4096")
     square = or_power(resolve_fixture("petersen"), 2)
     assert fractional_chromatic(square).value == Fraction(25, 4)
+
+
+@pytest.mark.parametrize(
+    "solve, pivots, value",
+    [
+        (lambda: fractional_chromatic(or_power(resolve_fixture("petersen"), 2)), 139, Fraction(25, 4)),
+        (lambda: maximin_eta(or_power(resolve_fixture("c5"), 2)), 32, Fraction(4, 25)),
+        (lambda: fractional_packing(resolve_fixture("petersen")), 11, Fraction(5, 2)),
+        (lambda: fractional_covering(make_hypergraph(range(7), [(i, (i + 1) % 7) for i in range(7)])),
+         7, Fraction(7, 2)),
+    ],
+    ids=["chif_petersen_or_square", "maximin_c5_or_square", "packing_petersen", "covering_c7_edges"],
+)
+def test_each_program_spends_its_pinned_pivots(monkeypatch, solve, pivots, value):
+    # Bland's rule on the same integer tableau takes the same pivots; a
+    # change to how a program is built or solved that moves them shows here
+    spent = Counter()
+    spend = budget.WorkMeter.spend
+
+    def counted(self, amount=1):
+        spent[self.name] += amount
+        return spend(self, amount)
+
+    monkeypatch.setattr(budget.WorkMeter, "spend", counted)
+    assert solve().value == value
+    assert spent["lp_pivots"] == pivots
 
 
 def test_covering_triangle():

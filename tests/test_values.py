@@ -32,14 +32,8 @@ EXAMPLES = {
     Graph: (("vertex_count", "rows", "labels"), lambda: (3, (0b010, 0b101, 0b010), ("a", "b", "c"))),
     Hypergraph: (("vertex_ids", "hyperedges"), lambda: ((0, 1, 2), ((0, 1), (2,)))),
     VertexSetFamily: (("sets", "multiplicities"), lambda: (((0,), (1, 2)), (1, 2))),
-    LinearProgram: (
-        ("sense", "objective", "constraints"),
-        lambda: ("max", (F(1), F(2)), (((F(1), F(1)), "<=", F(3)),)),
-    ),
-    LpSolution: (
-        ("status", "value", "assignment", "duals"),
-        lambda: ("optimal", F(6), (F(0), F(3)), (F(2),)),
-    ),
+    LinearProgram: (("objective", "constraints"), lambda: ((1, 2), (((1, 1), 3),))),
+    LpSolution: (("value", "assignment", "duals"), lambda: (F(6), (F(0), F(3)), (F(2),))),
     LeakageValue: (("log2_of",), lambda: (F(5, 2),)),
     StochasticMapping: (
         ("t", "codewords", "denominator", "counts"),
