@@ -14,6 +14,8 @@ approximate-guess caps of one call share one meter and spend t factors per
 tuple of base families, so a long table budget fails too,
 product trace families check theirs (`trace_family`), `make_mapping`
 checks the size of its integer counts as their common denominator grows,
+`generate_valid_mapping` checks the units it deals, sequences times r
+(`scheme_units`),
 `optimal_leakage_t` checks its witness's cells, sequences times codewords,
 against `witness_cells` before it builds anything on the OR power,
 and the parametric fixtures c<n>, k<n> and p<n> check their edge count

@@ -45,7 +45,6 @@ from .leakage import (
     validate_mapping,
 )
 from .oracle import (
-    DistributionGrid,
     distribution_grid,
     verify_eta_duality,
     verify_mergeability_closure,
@@ -140,7 +139,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--theta", help="adversary graph JSON path or fixture:NAME")
     p.add_argument("--t", type=int, default=1, help="block length (default 1)")
     p.add_argument("--budget", help="guess budget for the floor check (default const:1)")
-    p.add_argument("--grid", type=int, default=4, help="prior grid resolution (default 4)")
+    p.add_argument("--grid", type=int, default=4, help="prior grid resolution, and r for the floor check (default 4)")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized trials (default 0)")
     p.add_argument("--trials", type=int, default=100, help="randomized trial count (default 100)")
     p.add_argument("--out", help="write output JSON here instead of stdout")
@@ -238,12 +237,6 @@ def _cmd_bounds_multi_approx(args) -> dict:
     )
 
 
-def _prior_grid(g: Graph, r: int) -> DistributionGrid:
-    """The prior grid on g's vertices; an empty graph is refused as every other check refuses it."""
-    _require_nonempty(g)
-    return distribution_grid(g.vertex_count, r)
-
-
 def _cmd_oracle(args) -> dict:
     for check in args.checks:
         if check not in ORACLE_CHECKS:
@@ -272,12 +265,13 @@ def _cmd_oracle(args) -> dict:
         elif check == "packing":
             if theta is None:
                 raise DomainError("usage", "packing check needs --theta")
-            reports.append(verify_packing_reciprocity(theta, _prior_grid(theta, args.grid)))
+            _require_nonempty(theta)
+            reports.append(verify_packing_reciprocity(theta, distribution_grid(theta.vertex_count, args.grid)))
         elif check == "multi-guess-floor":
             if gamma is None:
                 raise DomainError("usage", "multi-guess-floor check needs --graph")
-            grid = _prior_grid(gamma, args.grid)
-            reports.append(verify_multi_guess_floor(gamma, budget, args.t, grid, args.trials, args.seed))
+            _require_nonempty(gamma)
+            reports.append(verify_multi_guess_floor(gamma, budget, args.t, args.grid, args.trials, args.seed))
         else:
             if gamma is None:
                 raise DomainError("usage", "merge-closure check needs --graph")

@@ -15,7 +15,6 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
-from operator import add
 from typing import Callable, NamedTuple
 
 from .budget import AUTOMORPHISM_VERTEX_CAP, WorkMeter
@@ -66,11 +65,13 @@ class StochasticMapping(FrozenValue):
     Rows are indexed by the big-endian sequence encoding.  The matrix is held
     fraction-free: entry (x, j) is counts[x][j] / denominator, with integer
     counts in [0, denominator] and every row summing to the denominator.  The
-    constructor checks exactly that for every mapping, however it was built,
-    and then reduces the denominator and the counts to lowest terms, so equal
-    rational matrices compare and hash equal.  `rows` is the same matrix as
+    constructor checks exactly that, and then reduces the denominator and the
+    counts to lowest terms, so equal rational matrices compare and hash
+    equal.  Every mapping passes that full check except the result of
+    `merge_codewords`, which is built by `_merged` from a checked mapping and
+    the proof that a merge keeps it valid.  `rows` is the same matrix as
     exact Fractions, and `supports` the sources of each codeword as
-    bitmasks, both derived on first use.
+    bitmasks, both derived on first use (a merge carries `supports` over).
     """
 
     t: int
@@ -125,6 +126,33 @@ class StochasticMapping(FrozenValue):
         """Per codeword, the mask of the sources that give it positive probability."""
         sources = range(len(self.counts))
         return tuple(vertex_mask(compress(sources, column)) for column in zip(*self.counts))
+
+    def _merged(self, lo: int, hi: int, name: str) -> StochasticMapping:
+        """This mapping with column hi added into column lo, renamed `name`, and hi deleted.
+
+        The full check is skipped on a proof.  Each row keeps its sum, and
+        each new entry is the sum of two entries of a row that sums to the
+        denominator, so it stays in [0, denominator].  The caller has checked
+        that `name` is not already a codeword.  What is left is the reduction
+        by one gcd over all counts, and the supports: the OR of the two merged
+        masks.
+        """
+        names, supports = self.codewords, self.supports
+        counts = tuple(row[:lo] + (row[lo] + row[hi],) + row[lo + 1 : hi] + row[hi + 1 :] for row in self.counts)
+        d = self.denominator
+        g = math.gcd(d, *chain.from_iterable(counts))
+        if g > 1:
+            d //= g
+            counts = tuple(tuple(map(g.__rfloordiv__, row)) for row in counts)
+        merged = object.__new__(StochasticMapping)
+        merged.__dict__.update(
+            t=self.t,
+            codewords=names[:lo] + (name,) + names[lo + 1 : hi] + names[hi + 1 :],
+            denominator=d,
+            counts=counts,
+            supports=supports[:lo] + (supports[lo] | supports[hi],) + supports[lo + 1 : hi] + supports[hi + 1 :],
+        )
+        return merged
 
 
 def _raise_first_fault(counts, width: int, d: int) -> None:
@@ -382,7 +410,10 @@ def merge_codewords(m: StochasticMapping, y1: str, y2: str, gamma: Graph) -> Sto
 
     Allowed exactly when the union of the two supports is independent in the
     OR power, so the merged codeword still never covers a confusable pair.
-    Merging can only shrink the leakage.
+    Merging can only shrink the leakage.  The merged column takes the place
+    of the first of the two, and the merged name `(y1&y2)` must be unused.
+    The result is built by `StochasticMapping._merged`, which skips the full
+    check on the proof that a merge of a checked mapping is valid.
     """
     if y1 == y2:
         raise DomainError("bad_merge", "cannot merge a codeword with itself")
@@ -410,14 +441,7 @@ def merge_codewords(m: StochasticMapping, y1: str, y2: str, gamma: Graph) -> Sto
             f"sources {u} and {v} are confusable but would share the merged codeword",
             {"u": u, "v": v},
         )
-    lo, hi = min(j1, j2), max(j1, j2)
-    names = list(m.codewords)
-    names[lo] = merged_name
-    del names[hi]
-    columns = list(zip(*m.counts))
-    columns[lo] = tuple(map(add, columns[j1], columns[j2]))
-    del columns[hi]
-    return StochasticMapping(m.t, tuple(names), m.denominator, tuple(zip(*columns)))
+    return m._merged(min(j1, j2), max(j1, j2), merged_name)
 
 
 # ---------------------------------------------------------------------------

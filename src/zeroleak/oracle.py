@@ -28,7 +28,6 @@ from .graphs import (
     independence_number,
     mis_of_or_power,
     or_power,
-    vertex_mask,
 )
 from .leakage import (
     GuessBudget,
@@ -88,7 +87,10 @@ def _vertex_sets(masks) -> tuple[frozenset[int], ...]:
 
 
 class DistributionGrid(FrozenValue):
-    """All priors on n symbols with denominator dividing r, plus the uniform one."""
+    """All priors on n symbols with denominator dividing r, plus the uniform one.
+
+    `points` holds the distinct priors as Fraction tuples in ascending order.
+    """
 
     resolution: int
     points: tuple[tuple[Fraction, ...], ...]
@@ -99,20 +101,25 @@ class DistributionGrid(FrozenValue):
 
 
 def distribution_grid(n: int, r: int) -> DistributionGrid:
+    """The grid of the compositions of r into n parts over r, and the uniform prior.
+
+    The points are built as integer tuples over one denominator,
+    d = lcm(n, r), then deduplicated and sorted; over one denominator that
+    is the order of the Fraction tuples.  Each distinct mass becomes one
+    shared Fraction.
+    """
     if n < 1 or r < 1:
         raise DomainError("bad_grid", f"need n >= 1 and r >= 1, got n={n}, r={r}")
     meter = WorkMeter("distribution_grid")
     meter.check_size(math.comb(r + n - 1, n - 1), "distribution grid")
-    points = {tuple(Fraction(1, n) for _ in range(n))}
+    d = math.lcm(n, r)
+    step = d // r
+    points = {(d // n,) * n}
     for cuts in itertools.combinations(range(r + n - 1), n - 1):
-        ks = []
-        prev = -1
-        for c in cuts:
-            ks.append(c - prev - 1)
-            prev = c
-        ks.append(r + n - 2 - prev)
-        points.add(tuple(Fraction(k, r) for k in ks))
-    return DistributionGrid(r, tuple(sorted(points)))
+        # the gaps between n - 1 cuts in r + n - 1 slots are a composition of r
+        points.add(tuple((b - a - 1) * step for a, b in zip((-1, *cuts), (*cuts, r + n - 1))))
+    mass = {k: Fraction(k, d) for k in set(itertools.chain.from_iterable(points))}
+    return DistributionGrid(r, tuple(tuple(map(mass.__getitem__, p)) for p in sorted(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -212,26 +219,26 @@ def generate_valid_mapping(
 
     Each source sequence splits r probability units uniformly at random among
     the codewords whose set contains it.  With duplicate_codebook each set
-    appears twice, which leaves the scheme mergeable on purpose.
+    appears twice, which leaves the scheme mergeable on purpose.  The units
+    dealt, sequences times r, are checked against a `scheme_units` meter.
     """
     if r < 1:
         raise DomainError("bad_grid", f"need r >= 1, got {r}")
     sets = mis_of_or_power(gamma, t)
+    total = gamma.vertex_count**t
+    WorkMeter("scheme_units").check_size(total * r, "random scheme")
+    copies = ("#1", "#2") if duplicate_codebook else ("",)
     names = []
-    columns = []
+    holders = [[] for _ in range(total)]
     for s in sets:
         base = "+".join(str(v) for v in s)
-        if duplicate_codebook:
-            names.extend([f"{base}#1", f"{base}#2"])
-            columns.extend([vertex_mask(s)] * 2)
-        else:
-            names.append(base)
-            columns.append(vertex_mask(s))
-    total = gamma.vertex_count**t
+        for copy in copies:
+            for x in s:
+                holders[x].append(len(names))
+            names.append(base + copy)
     rows = []
-    for x in range(total):
-        containing = [j for j, s in enumerate(columns) if s >> x & 1]
-        counts = [0] * len(columns)
+    for containing in holders:
+        counts = [0] * len(names)
         for _ in range(r):
             counts[containing[rng.randrange(len(containing))]] += 1
         rows.append(tuple(counts))
@@ -269,7 +276,9 @@ def verify_packing_reciprocity(theta: Graph, grid: DistributionGrid) -> dict:
     The grid can only overshoot the true minimum, so a strictly smaller grid
     value is a hard failure, equality is a pass, and a larger value is only an
     estimate (the grid was too coarse).  A witness with a zero coordinate is
-    flagged: full-support priors only reach it in closure.
+    flagged: full-support priors only reach it in closure.  The sweep sums
+    integer masses over one common denominator; the witness is the first
+    minimal prior in grid order.
     """
     packing = fractional_packing(theta).value
     target = Fraction(1) / packing
@@ -277,13 +286,17 @@ def verify_packing_reciprocity(theta: Graph, grid: DistributionGrid) -> dict:
     if grid.alphabet_size != n:
         raise DomainError("dimension_mismatch", f"grid is over {grid.alphabet_size} symbols, graph has {n}")
     hoods = [_bits(row | 1 << x) for x, row in enumerate(theta.rows)]
-    best = None
-    best_px = None
+    masses = set(itertools.chain.from_iterable(grid.points))
+    d, scaled = _over_one_denominator(masses)
+    units = dict(zip(masses, scaled))
+    best_units = None
     for px in grid.points:
-        value = max(sum(px[v] for v in hood) for hood in hoods)
-        if best is None or value < best:
-            best = value
+        ks = tuple(map(units.__getitem__, px))
+        value = max(sum(map(ks.__getitem__, hood)) for hood in hoods)
+        if best_units is None or value < best_units:
+            best_units = value
             best_px = px
+    best = Fraction(best_units, d)
     if best < target:
         status = "fail"
     elif best == target:
@@ -307,7 +320,7 @@ def verify_multi_guess_floor(
     gamma: Graph,
     budget: GuessBudget,
     t: int,
-    grid: DistributionGrid,
+    r: int,
     trials: int = 100,
     seed: int = 0,
 ) -> dict:
@@ -315,11 +328,13 @@ def verify_multi_guess_floor(
 
     At the uniform prior a g-guess adversary's advantage is at least
     (n/alpha)**t for every zero-error scheme.  Schemes are drawn with row
-    denominators at the grid resolution; the budget must be admissible at t.
+    denominator r; the budget must be admissible at t.
     """
+    n = gamma.vertex_count
+    if n < 1 or r < 1:
+        raise DomainError("bad_grid", f"need n >= 1 and r >= 1, got n={n}, r={r}")
     if trials < 1:
         raise DomainError("bad_trials", f"need at least one trial, got {trials}")
-    n = gamma.vertex_count
     alpha = independence_number(gamma)
     g = budget.guesses(t)
     if g > alpha**t:
@@ -335,7 +350,7 @@ def verify_multi_guess_floor(
     worst = None
     bad_trial = None
     for trial in range(trials):
-        m = generate_valid_mapping(gamma, t, grid.resolution, rng)
+        m = generate_valid_mapping(gamma, t, r, rng)
         value = _rho_from_ints(m.counts, m.denominator, fam, uniform)
         if worst is None or value < worst:
             worst = value
@@ -354,11 +369,15 @@ def verify_multi_guess_floor(
     }
 
 
-def _first_mergeable_pair(m: StochasticMapping, product: Graph):
+def _first_mergeable_pair(m: StochasticMapping, product: Graph, start: tuple[int, int] = (0, 1)):
+    """The first codeword pair, in `itertools.combinations` order from `start`, whose union is independent."""
     supports = m.supports
-    for j1, j2 in itertools.combinations(range(len(supports)), 2):
-        if first_edge_within(product, supports[j1] | supports[j2]) is None:
-            return j1, j2
+    a, b = start
+    for j1 in range(a, len(supports)):
+        s1 = supports[j1]
+        for j2 in range(b if j1 == a else j1 + 1, len(supports)):
+            if first_edge_within(product, s1 | supports[j2]) is None:
+                return j1, j2
     return None
 
 
@@ -367,6 +386,10 @@ def verify_mergeability_closure(gamma: Graph, t: int, trials: int, seed: int = 0
 
     Trials start from schemes with a doubled codebook so merges exist; each
     merge step must keep the scheme valid and keep leakage non-increasing.
+    Each step merges the first mergeable pair in `itertools.combinations`
+    order.  A merge only grows supports, so a pair found confusable stays
+    confusable: after merging (lo, hi), every pair before (lo, hi) in the new
+    indexing is still confusable, and the next scan resumes there.
     """
     if trials < 1:
         raise DomainError("bad_trials", f"need at least one trial, got {trials}")
@@ -378,8 +401,9 @@ def verify_mergeability_closure(gamma: Graph, t: int, trials: int, seed: int = 0
     for trial in range(trials):
         m = generate_valid_mapping(gamma, t, r, rng, duplicate_codebook=True)
         value = maximal_leakage(m).log2_of
+        pair = (0, 1)
         while True:
-            pair = _first_mergeable_pair(m, product)
+            pair = _first_mergeable_pair(m, product, pair)
             if pair is None:
                 break
             merged = merge_codewords(m, m.codewords[pair[0]], m.codewords[pair[1]], gamma)

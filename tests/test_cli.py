@@ -257,6 +257,25 @@ PINNED_SHA256 = [
         ("mis", "--graph", "{petersen_or2}"),
         "f773612453f8e82798e7ebed380448f5be5496de67f7f4ff96e3193656a60e6a",
     ),
+    # recorded before the prior grids and the packing sweep ran in integers
+    # and merges carried their proof; {c5_t2_dup} is a seeded C5 t=2 mapping
+    # with a doubled codebook, merged here in reverse column order
+    (
+        ("oracle", "packing", "--theta", "fixture:petersen"),
+        "3e30961829bf3c8bf1fe195b93e2023da8d7cba978d77732c4cf24478a713d3c",
+    ),
+    (
+        ("oracle", "packing", "--theta", "fixture:fig1_theta", "--grid", "3"),
+        "c98a970f046c6d5c66f3a10e744ec2e6f01536291c00402d8cdbfdfa7e30f25e",
+    ),
+    (
+        ("oracle", "--graph", "fixture:fig1", "--theta", "fixture:fig1_theta", "--seed", "1", "--trials", "200"),
+        "12bc811037f19fde5e1f295ca9af57b8b2bc23c91597736a093301318c44737c",
+    ),
+    (
+        ("merge", "--graph", "fixture:c5", "--mapping", "{c5_t2_dup}", "0+3+10+13#2", "0+3+10+13#1"),
+        "71c03f50a1422003a39fd79a3e9325cc34dc9355a8063f55f47e08a461cb22d8",
+    ),
 ]
 
 
@@ -266,6 +285,8 @@ def test_pinned_outputs(capsysbinary, tmp_path):
         for t in (2, 3, 4)
     }
     tables["petersen_or2"] = str(tmp_path / "petersen_or2.json")
+    c5_t2_dup = generate_valid_mapping(resolve_fixture("c5"), 2, 4, random.Random(7), duplicate_codebook=True)
+    tables["c5_t2_dup"] = write_json(tmp_path, "c5_t2_dup.json", mapping_to_obj(c5_t2_dup))
     code, _, _ = run_main(
         capsysbinary, "product", "--op", "or", "--graph", "fixture:petersen", "--graph", "fixture:petersen",
         "--out", tables["petersen_or2"],
@@ -335,7 +356,7 @@ def test_empty_graph_error(capsysbinary, tmp_path):
     obj = json.loads(err)
     assert obj["error"]["code"] == "empty_graph"
     jsonschema.validate(obj, load_schema("error"))
-    # the checks that build a prior grid refuse the graph before the grid
+    # the checks that read priors or draw schemes refuse the graph first
     for args in (("multi-guess-floor", "--graph", empty), ("packing", "--theta", empty)):
         code, out, err = run_main(capsysbinary, "oracle", *args)
         assert code == 1 and out == b""
@@ -381,6 +402,24 @@ def test_oracle_default_checks(capsysbinary):
     assert names == ["duality", "multi-guess-floor", "merge-closure", "packing"]
     assert all(r["status"] in ("pass", "estimate") for r in obj["reports"])
     check_schema("oracle", out)
+
+
+def test_floor_check_builds_no_prior_grid(capsysbinary):
+    # it reads only the row denominator; the 2,220,075-point grid on 20
+    # symbols at resolution 8 once refused it with budget_exceeded
+    code, out, err = run_main(
+        capsysbinary, "oracle", "multi-guess-floor", "--graph", "fixture:c20", "--grid", "8", "--trials", "5"
+    )
+    assert code == 0 and err == b""
+    (report,) = json.loads(out)["reports"]
+    assert report["status"] == "pass"
+
+
+def test_floor_check_meters_the_units_it_deals(capsysbinary):
+    # 5 sequences times a million units per trial, checked before any is dealt
+    code, out, err = run_main(capsysbinary, "oracle", "multi-guess-floor", "--graph", "fixture:c5", "--grid", "1000000")
+    assert code == 2 and out == b""
+    assert json.loads(err)["error"]["detail"]["budget"] == "scheme_units"
 
 
 def test_oracle_explicit_check(capsysbinary):

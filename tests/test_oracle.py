@@ -26,8 +26,9 @@ from zeroleak import (
     worst_case_rho,
 )
 from zeroleak.graphs import and_power, closed_neighborhood
+from zeroleak.programs import fractional_packing
 from zeroleak.oracle import _alphabet_size
-from zeroleak.rationals import parse_ratio
+from zeroleak.rationals import format_ratio, parse_ratio
 from helpers import k22
 
 REPORT_KEYS = {"check", "status", "witness", "lhs", "rhs"}
@@ -107,6 +108,47 @@ def test_distribution_grid():
     assert e.value.code == "bad_grid"
     with pytest.raises(ResourceBudgetError):
         distribution_grid(40, 40)
+
+
+def _fraction_grid(n, r):
+    """The prior grid built directly in Fraction: every composition of r over r, and uniform."""
+    points = {(Fraction(1, n),) * n}
+    for cuts in itertools.combinations(range(r + n - 1), n - 1):
+        bounds = (-1, *cuts, r + n - 1)
+        points.add(tuple(Fraction(b - a - 1, r) for a, b in zip(bounds, bounds[1:])))
+    return tuple(sorted(points))
+
+
+def test_distribution_grid_equals_the_fraction_construction():
+    # n = 1, n | r, r | n, coprime pairs and pairs sharing a factor
+    cases = [(1, 1), (1, 5), (2, 1), (2, 4), (3, 6), (4, 2), (6, 3), (6, 1), (2, 3), (3, 5), (5, 4), (4, 6), (6, 4)]
+    for n, r in cases:
+        grid = distribution_grid(n, r)
+        assert grid.points == _fraction_grid(n, r), (n, r)
+        assert all(type(p) is Fraction for point in grid.points for p in point)
+
+
+def _fraction_packing_report(theta, grid):
+    """lhs, px and status of the packing check, recomputed in Fraction."""
+    hoods = [closed_neighborhood(theta, x) for x in range(theta.vertex_count)]
+    best = best_px = None
+    for px in grid.points:
+        value = max(sum(px[v] for v in hood) for hood in hoods)
+        if best is None or value < best:
+            best, best_px = value, px
+    target = 1 / fractional_packing(theta).value
+    status = "fail" if best < target else "pass" if best == target else "estimate"
+    return format_ratio(best), [format_ratio(p) for p in best_px], status
+
+
+def test_packing_sweep_equals_a_fraction_reference():
+    rng = random.Random(11)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        g = make_graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2) if rng.random() < 0.5])
+        grid = distribution_grid(n, rng.randint(1, 4))
+        report = verify_packing_reciprocity(g, grid)
+        assert (report["lhs"], report["witness"]["px"], report["status"]) == _fraction_packing_report(g, grid)
 
 
 def test_rho_constant_mapping_is_one():
@@ -243,6 +285,10 @@ def test_generate_valid_mapping_duplicate_codebook():
     with pytest.raises(DomainError) as e:
         generate_valid_mapping(c5, 1, 0, random.Random(0))
     assert e.value.code == "bad_grid"
+    # the units dealt, 5 sequences times r, are checked before any is dealt
+    with pytest.raises(ResourceBudgetError) as e:
+        generate_valid_mapping(c5, 1, 1 << 20, random.Random(0))
+    assert e.value.budget_name == "scheme_units"
 
 
 def test_verify_eta_duality_report():
@@ -285,17 +331,17 @@ def test_verify_packing_reciprocity_grid_mismatch():
 
 def test_verify_multi_guess_floor():
     c5 = resolve_fixture("c5")
-    report = verify_multi_guess_floor(c5, GuessBudget.constant(2), 1, distribution_grid(5, 4), trials=20)
+    report = verify_multi_guess_floor(c5, GuessBudget.constant(2), 1, 4, trials=20)
     assert set(report) == REPORT_KEYS
     assert report["status"] == "pass"
     assert report["rhs"] == "5/2"
     assert parse_ratio(report["lhs"]) >= Fraction(5, 2)
     assert report["witness"] == {"t": 1, "g": 2, "trials": 20, "seed": 0}
 
-    again = verify_multi_guess_floor(c5, GuessBudget.constant(2), 1, distribution_grid(5, 4), trials=20)
+    again = verify_multi_guess_floor(c5, GuessBudget.constant(2), 1, 4, trials=20)
     assert again == report  # seeded, fully deterministic
 
-    pair = verify_multi_guess_floor(k22(), GuessBudget.constant(1), 1, distribution_grid(4, 4), trials=20)
+    pair = verify_multi_guess_floor(k22(), GuessBudget.constant(1), 1, 4, trials=20)
     assert pair["status"] == "pass"
     assert pair["rhs"] == "2/1"
 
@@ -303,10 +349,10 @@ def test_verify_multi_guess_floor():
 def test_verify_multi_guess_floor_rejects():
     c5 = resolve_fixture("c5")
     with pytest.raises(DomainError) as e:
-        verify_multi_guess_floor(c5, GuessBudget.constant(3), 1, distribution_grid(5, 4))
+        verify_multi_guess_floor(c5, GuessBudget.constant(3), 1, 4)
     assert e.value.code == "inadmissible_budget"
     with pytest.raises(DomainError) as e:
-        verify_multi_guess_floor(c5, GuessBudget.constant(1), 1, distribution_grid(5, 4), trials=0)
+        verify_multi_guess_floor(c5, GuessBudget.constant(1), 1, 4, trials=0)
     assert e.value.code == "bad_trials"
 
 

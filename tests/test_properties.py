@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from zeroleak import (
     GuessFamily,
+    StochasticMapping,
     fractional_chromatic,
     b_fold_coloring_from_weights,
     generate_valid_mapping,
@@ -127,6 +128,44 @@ def test_merging_never_raises_leakage(seed):
     merged = merge_codewords(m, m.codewords[pair[0]], m.codewords[pair[1]], g)
     assert validate_mapping(merged, g).ok
     assert maximal_leakage(merged).log2_of <= before
+
+
+def _merge_chain(g, t, r, seed):
+    """Merge the first mergeable pair until none is left; yield (mapping, its resumed-scan pair, product)."""
+    m = generate_valid_mapping(g, t, r, random.Random(seed), duplicate_codebook=True)
+    product = or_power(g, t)
+    pair = (0, 1)
+    while True:
+        pair = _first_mergeable_pair(m, product, pair)
+        yield m, pair, product
+        if pair is None:
+            return
+        m = merge_codewords(m, m.codewords[pair[0]], m.codewords[pair[1]], g)
+
+
+@settings(max_examples=40)
+@given(graphs(), st.integers(min_value=1, max_value=2), st.integers(1, 4), st.integers(0, 10**6))
+def test_merges_equal_the_fully_checked_mapping(g, t, r, seed):
+    for m, _, _ in _merge_chain(g, t, r, seed):
+        checked = StochasticMapping(m.t, m.codewords, m.denominator, m.counts)
+        assert m == checked and hash(m) == hash(checked)
+        assert (m.denominator, m.counts) == (checked.denominator, checked.counts)
+        # the carried supports are the masks read off the counts
+        assert m.supports == checked.supports
+
+
+def test_a_merge_reduces_by_the_gcd():
+    half = StochasticMapping(1, ("a", "b"), 2, ((1, 1),))
+    merged = merge_codewords(half, "a", "b", make_graph(1, []))
+    assert (merged.codewords, merged.denominator, merged.counts) == (("(a&b)",), 1, ((1,),))
+    assert merged.supports == (1,)
+
+
+@settings(max_examples=40)
+@given(graphs(), st.integers(min_value=1, max_value=2), st.integers(1, 4), st.integers(0, 10**6))
+def test_the_resumed_pair_scan_equals_a_full_scan(g, t, r, seed):
+    for m, pair, product in _merge_chain(g, t, r, seed):
+        assert pair == _first_mergeable_pair(m, product)
 
 
 @given(graphs())
