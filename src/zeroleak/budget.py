@@ -4,8 +4,10 @@ All enumerations (maximal independent sets, set-cover search, guess-family
 materialization, distribution grids) and the simplex pivots of each LP
 charge their work against a meter so a hostile input fails with a resource
 error instead of hanging.  Each operation creates its own meter, so the
-budget caps one operation, not the process.  MIS enumeration and the graph
-products also check the size of their bitmask rows before building them,
+budget caps one operation, not the process.  The independence number's
+branch and bound charges `mis_enumeration` one unit per candidate vertex
+each search node scans.  MIS enumeration, the independence number and the
+graph products also check the size of their bitmask rows before building them,
 `make_graph` checks the rows it is about to allocate against `graph_rows`
 (n * ceil(n / 64) words with an edge, n words without), the t-fold powers
 check t - 1 times their rows' words and the product MIS family its
@@ -18,8 +20,9 @@ checks the size of its integer counts as their common denominator grows,
 (`scheme_units`),
 `optimal_leakage_t` checks its witness's cells, sequences times codewords,
 against `witness_cells` before it builds anything on the OR power,
-and the parametric fixtures c<n>, k<n> and p<n> check their edge count
-(`fixture_edges`) before listing the edges.
+the parametric fixtures c<n>, k<n> and p<n> check their edge count
+(`fixture_edges`) before listing the edges, and the seeded oracle checks
+check their trial count (`oracle_trials`) before their trial loops.
 The default budget is 2**20 units of search work; the ZEROLEAK_BUDGET
 environment variable overrides it.  The automorphism
 search has a separate hard vertex cap that is not environment-tunable.

@@ -153,12 +153,13 @@ def _value_obj(value) -> dict:
 def _cmd_info(args) -> dict:
     g = load_graph(args.graph)
     transitive = is_vertex_transitive(g) if 1 <= g.vertex_count <= AUTOMORPHISM_VERTEX_CAP else None
+    sets = maximal_independent_sets(g) if g.vertex_count else ()
     return {
         "n": g.vertex_count,
         "edge_count": g.edge_count,
         "labels": list(g.labels) if g.labels is not None else None,
-        "alpha": independence_number(g) if g.vertex_count else 0,
-        "mis_count": len(maximal_independent_sets(g)) if g.vertex_count else 0,
+        "alpha": max(map(len, sets), default=0),
+        "mis_count": len(sets),
         "vertex_transitive": transitive,
     }
 

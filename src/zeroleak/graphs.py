@@ -7,9 +7,11 @@ tuple and index views of a sequence are interchangeable everywhere.
 A graph is its bitmask rows: bit u of `rows[v]` is set iff uv is an edge.
 `make_graph` ORs vertex pairs into rows in one checked walk, products
 build rows directly, and the edge set is derived from the rows on first
-use.  Products, maximal-independent-set enumeration and neighbourhood
-traces are bit operations on the rows.  Inside the package a vertex set is
-an int mask in the same layout.
+use.  Products, maximal-independent-set enumeration, the independence
+number's branch and bound and neighbourhood traces are bit operations on
+the rows.  The independence number lists no independent sets: it bounds
+each search node by a greedy clique cover of its candidates.  Inside the
+package a vertex set is an int mask in the same layout.
 
 Graphs, hypergraphs and vertex-set families are frozen values
 (`values.FrozenValue`): equal fields give equal graphs with equal hashes,
@@ -375,19 +377,26 @@ def _capped_power(base: int, t: int, limit: int) -> int:
 
 
 def _power(g: Graph, t: int, product) -> Graph:
-    """The t-fold power by t - 1 products, each no larger than the last.
+    """The t-fold power by repeated squaring.
 
-    Their rows' words, t - 1 times the power's, are checked against a
+    The products are associative and the big-endian sequence encoding
+    splits at any coordinate, so any bracketing of t factors gives the same
+    rows as the left fold; squaring takes at most 2 log2(t) products.  The
+    left fold's rows' words, t - 1 times the power's, are checked against a
     `graph_product` meter first, so a one-vertex graph cannot loop for a huge t.
     """
     _require_power(t)
     _require_nonempty(g)
     meter = WorkMeter("graph_product")
     meter.check_size((t - 1) * _row_words(_capped_power(g.vertex_count, t, meter.limit)), "power rows")
-    result = g
-    for _ in range(t - 1):
-        result = product(result, g)
-    return result
+    result, square = None, g
+    while True:
+        if t & 1:
+            result = square if result is None else product(result, square)
+        t >>= 1
+        if not t:
+            return result
+        square = product(square, square)
 
 
 @lru_cache(maxsize=None)
@@ -454,7 +463,61 @@ def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
 
 
 def independence_number(g: Graph) -> int:
-    return max(len(s) for s in maximal_independent_sets(g))
+    """The largest independent set's size, by branch and bound on the rows.
+
+    A node holds a chosen set's size and its candidates P: the vertices with
+    no neighbour chosen.  Candidates with no neighbour in P join the set at
+    once, so an edgeless graph is one node.  The rest are covered greedily by
+    cliques of g, each built by ANDing rows, and alpha(g[P]) is at most the
+    number of cliques (a greedy colouring of the complement, Tomita & Seki
+    2003).  Branching takes the vertices from the last clique back; a vertex
+    in clique k leaves only vertices of cliques <= k, so the node stops as
+    soon as size + k is no better than the best set found (San Segundo,
+    Rodriguez-Losada & Jimenez 2011).  Children are made one at a time from
+    an explicit stack of open nodes, so no depth of search reaches the
+    recursion limit and the stack holds one mask and one branch list per
+    level, not one mask per child.  Each node costs one mis_enumeration
+    unit per candidate it scans, and the rows' size is checked against the
+    same budget first.
+    """
+    _require_nonempty(g)
+    n = g.vertex_count
+    meter = WorkMeter("mis_enumeration")
+    meter.check_size(_row_words(n), "bitset rows")
+    rows = g.rows
+    best = 0
+    size, p = 0, (1 << n) - 1
+    open_nodes = []
+    while True:
+        meter.spend(p.bit_count())
+        free = vertex_mask([v for v in _bits(p) if not rows[v] & p])
+        p ^= free
+        size += free.bit_count()
+        best = max(best, size)
+        branch = []  # (vertex, clique number) in cover order, past the bound
+        uncovered, k = p, 0
+        while uncovered:
+            k += 1
+            clique = uncovered
+            while clique:
+                low = clique & -clique
+                v = low.bit_length() - 1
+                uncovered ^= low
+                clique &= rows[v]
+                if size + k > best:
+                    branch.append((v, k))
+        open_nodes.append([size, p, branch])
+        while open_nodes:
+            node = open_nodes[-1]
+            size, p, branch = node
+            if branch and size + branch[-1][1] > best:
+                v, _ = branch.pop()
+                node[1] = p = p ^ 1 << v
+                size, p = size + 1, p & ~rows[v]
+                break
+            open_nodes.pop()
+        else:
+            return best
 
 
 def product_sets(base_sets, n: int, t: int) -> list[tuple[int, ...]]:

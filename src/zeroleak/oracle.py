@@ -316,6 +316,13 @@ def verify_packing_reciprocity(theta: Graph, grid: DistributionGrid) -> dict:
     }
 
 
+def _check_trials(trials: int) -> None:
+    """At least one trial, and no more than the `oracle_trials` budget."""
+    if trials < 1:
+        raise DomainError("bad_trials", f"need at least one trial, got {trials}")
+    WorkMeter("oracle_trials").check_size(trials, "oracle trials")
+
+
 def verify_multi_guess_floor(
     gamma: Graph,
     budget: GuessBudget,
@@ -333,8 +340,7 @@ def verify_multi_guess_floor(
     n = gamma.vertex_count
     if n < 1 or r < 1:
         raise DomainError("bad_grid", f"need n >= 1 and r >= 1, got n={n}, r={r}")
-    if trials < 1:
-        raise DomainError("bad_trials", f"need at least one trial, got {trials}")
+    _check_trials(trials)
     alpha = independence_number(gamma)
     g = budget.guesses(t)
     if g > alpha**t:
@@ -391,8 +397,7 @@ def verify_mergeability_closure(gamma: Graph, t: int, trials: int, seed: int = 0
     confusable: after merging (lo, hi), every pair before (lo, hi) in the new
     indexing is still confusable, and the next scan resumes there.
     """
-    if trials < 1:
-        raise DomainError("bad_trials", f"need at least one trial, got {trials}")
+    _check_trials(trials)
     rng = random.Random(seed)
     product = or_power(gamma, t)
     worst_step = Fraction(0)

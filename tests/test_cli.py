@@ -276,6 +276,17 @@ PINNED_SHA256 = [
         ("merge", "--graph", "fixture:c5", "--mapping", "{c5_t2_dup}", "0+3+10+13#2", "0+3+10+13#1"),
         "71c03f50a1422003a39fd79a3e9325cc34dc9355a8063f55f47e08a461cb22d8",
     ),
+    # recorded while alpha was the longest of all maximal independent sets;
+    # {c5_or2} is the OR square of C5
+    (("alpha", "--graph", "fixture:petersen"), "abd2f6ef6e4fd38ad4ac820e9d1082fc3fe026a01d6499624a495f60d8754439"),
+    (("alpha", "--graph", "fixture:c7"), "a80c08d3d7046eb9f25f9ce947276903c75bde30b1ef146d5bb12a4c459db04f"),
+    (("alpha", "--graph", "fixture:fig1"), "45b717e103140b18ea5e0a9c25f79057b9b4bd7779386bcf2443719fe572eae5"),
+    (("alpha", "--graph", "fixture:e1"), "345d8494635a6aa52d467709fc314b0339e2c111bd12af3b09eb232b59b245a2"),
+    (("info", "--graph", "fixture:petersen"), "f59cf1794e9a51353f08c488b4ba61edb658ef06bc0a259e17c2eed6afbd97d9"),
+    (("info", "--graph", "fixture:c7"), "7fe747261835f7c03470082a48d22078c20c49d65c27f28c02b0322676a790b7"),
+    (("info", "--graph", "fixture:fig1"), "ea4240e6b09b1ffc446d5484102298e8471fad43f150ee6615c5968bb081e761"),
+    (("info", "--graph", "fixture:e1"), "bafa4c1baf6871a090e3c67e5062ff7fd2bc60ff16c39aff40ee0396d126dc8d"),
+    (("info", "--graph", "{c5_or2}"), "d56753f0c50347e2379a8756417b0698cbef8648b7fd97174134fab17c906dad"),
 ]
 
 
@@ -290,6 +301,11 @@ def test_pinned_outputs(capsysbinary, tmp_path):
     code, _, _ = run_main(
         capsysbinary, "product", "--op", "or", "--graph", "fixture:petersen", "--graph", "fixture:petersen",
         "--out", tables["petersen_or2"],
+    )
+    assert code == 0
+    tables["c5_or2"] = str(tmp_path / "c5_or2.json")
+    code, _, _ = run_main(
+        capsysbinary, "product", "--op", "or", "--graph", "fixture:c5", "--graph", "fixture:c5", "--out", tables["c5_or2"]
     )
     assert code == 0
     for args, expected in PINNED_ORACLE:
@@ -588,11 +604,31 @@ def test_subprocess_runs_are_byte_identical():
 
 
 def test_alpha_on_a_deep_edgeless_graph(capsysbinary, tmp_path):
-    # every search node has one branch, so the search is 1100 levels deep
+    # alpha takes every vertex of an edgeless graph at its root node; the MIS
+    # enumeration has one branch per node, so its search is 1100 levels deep
     path = write_json(tmp_path, "edgeless.json", {"n": 1100, "edges": []})
     code, out, err = run_main(capsysbinary, "alpha", "--graph", path)
     assert code == 0 and err == b""
     assert json.loads(out) == {"alpha": 1100}
+    code, out, err = run_main(capsysbinary, "mis", "--graph", path)
+    assert code == 0 and err == b""
+    assert json.loads(out) == {"alpha": 1100, "mis": [list(range(1100))]}
+
+
+def test_alpha_on_a_large_graph_with_one_edge(capsysbinary, tmp_path):
+    path = write_json(tmp_path, "one_edge.json", {"n": 8192, "edges": [[0, 1]]})
+    code, out, err = run_main(capsysbinary, "alpha", "--graph", path)
+    assert code == 0 and err == b""
+    assert json.loads(out) == {"alpha": 8191}
+
+
+def test_oracle_trials_are_checked_before_the_loop(capsysbinary):
+    for check in ("merge-closure", "multi-guess-floor"):
+        code, out, err = run_main(capsysbinary, "oracle", check, "--graph", "fixture:c5", "--trials", "100000000")
+        assert code == 2 and out == b"", check
+        error = json.loads(err)["error"]
+        assert error["code"] == "budget_exceeded"
+        assert error["detail"]["budget"] == "oracle_trials"
 
 
 def test_vertex_count_guard_precedes_allocation(capsysbinary, tmp_path):

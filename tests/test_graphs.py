@@ -194,9 +194,51 @@ def test_mis_frozen_values():
 
 
 def test_mis_rejects_empty_graph():
-    with pytest.raises(DomainError) as e:
-        maximal_independent_sets(make_graph(0, []))
-    assert e.value.code == "empty_graph"
+    for search in (maximal_independent_sets, independence_number):
+        with pytest.raises(DomainError) as e:
+            search(make_graph(0, []))
+        assert e.value.code == "empty_graph"
+
+
+def _longest_mis(g):
+    return max(map(len, maximal_independent_sets(g)))
+
+
+def test_independence_number_matches_enumeration():
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            assert independence_number(g) == _longest_mis(g), g.edges
+    rng = random.Random(16)
+    for _ in range(300):
+        n = rng.randint(1, 14)
+        density = rng.random()
+        g = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+        assert independence_number(g) == _longest_mis(g), g.edges
+    for name, g in fixture_corpus():
+        assert independence_number(g) == _longest_mis(g), name
+    c5, petersen = resolve_fixture("c5"), resolve_fixture("petersen")
+    for g, alpha in ((or_power(c5, 2), 4), (or_power(c5, 4), 16), (or_power(petersen, 2), 16)):
+        assert independence_number(g) == _longest_mis(g) == alpha
+
+
+def test_independence_number_units_are_pinned(monkeypatch):
+    # one unit per candidate scanned per node; the counts fix the cover and branch order
+    c5, c7 = resolve_fixture("c5"), resolve_fixture("c7")
+    pinned = [
+        (make_graph(5, []), 5),
+        (c5, 7),
+        (c7, 13),
+        (resolve_fixture("petersen"), 26),
+        (or_power(c5, 2), 91),
+        (or_power(c7, 2), 370),
+    ]
+    for g, units in pinned:
+        monkeypatch.setenv("ZEROLEAK_BUDGET", str(units))
+        independence_number(g)  # within budget
+        monkeypatch.setenv("ZEROLEAK_BUDGET", str(units - 1))
+        with pytest.raises(ResourceBudgetError) as e:
+            independence_number(g)
+        assert e.value.budget_name == "mis_enumeration"
 
 
 def test_mis_of_or_power_matches_direct_enumeration():
@@ -320,6 +362,17 @@ def test_products_match_the_coordinate_rule_on_fixture_pairs():
                 p = product(g, h)
                 assert p == coordinate_product(g, h, op)
                 assert p.rows == make_graph(p.vertex_count, p.edges).rows
+
+
+def test_powers_by_squaring_match_the_left_fold():
+    for name in ("p3", "c5", "k2", "e2"):
+        g = resolve_fixture(name)
+        for power, product in ((or_power, or_product), (and_power, and_product)):
+            fold = g
+            for t in range(1, 6):
+                assert power(g, t) == fold, (name, t)
+                if t < 5:
+                    fold = product(fold, g)
 
 
 def test_product_guard_precedes_allocation():

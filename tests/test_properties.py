@@ -56,6 +56,11 @@ def test_chromatic_between_ratio_and_size(g):
     assert (chi == 1) == (len(g.edges) == 0)
 
 
+@given(graphs(max_n=9))
+def test_independence_number_is_the_longest_mis(g):
+    assert independence_number(g) == max(map(len, maximal_independent_sets(g)))
+
+
 @given(graphs())
 def test_mis_members_are_independent_and_maximal(g):
     sets = maximal_independent_sets(g)
