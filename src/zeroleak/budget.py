@@ -5,9 +5,10 @@ materialization, distribution grids) and the simplex pivots of each LP
 charge their work against a meter so a hostile input fails with a resource
 error instead of hanging.  Each operation creates its own meter, so the
 budget caps one operation, not the process.  The independence number's
-branch and bound charges `mis_enumeration` one unit per candidate vertex
-each search node scans.  MIS enumeration, the independence number and the
-graph products also check the size of their bitmask rows before building them,
+branch and bound charges `mis_enumeration` one unit per vertex for its
+greedy first set and one unit per candidate vertex each search node scans.
+MIS enumeration, the independence number and the graph products also check
+the size of their bitmask rows before building them,
 `make_graph` checks the rows it is about to allocate against `graph_rows`
 (n * ceil(n / 64) words with an edge, n words without), the t-fold powers
 check t - 1 times their rows' words and the product MIS family its

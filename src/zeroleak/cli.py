@@ -3,13 +3,20 @@
 Success output is canonical JSON on stdout (or --out); failures put an error
 object on stderr and encode the failure class in the exit code: 1 for domain
 errors including usage, 2 for resource budgets, 3 for a failed oracle check.
+
+One table, `_SUBCOMMANDS`, gives each subcommand its help line, handler,
+output schema, options and positionals; parsing, `-h`, dispatch and
+`SCHEMA_BY_SUBCOMMAND` are all read off it.  The parser keeps argparse's
+grammar and its usage messages but not its import, which every call would
+pay for with `gettext` before reading one subcommand and a few options.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
+import re
 import sys
+from types import SimpleNamespace
 
 from .budget import AUTOMORPHISM_VERTEX_CAP
 from .errors import DomainError, ZeroleakError
@@ -56,23 +63,6 @@ from .rationals import bits_display, format_ratio
 
 ORACLE_CHECKS = ("duality", "packing", "multi-guess-floor", "merge-closure")
 
-# published schema for each subcommand's success output
-SCHEMA_BY_SUBCOMMAND = {
-    "info": "info",
-    "product": "graph",
-    "chif": "chif",
-    "alpha": "alpha",
-    "mis": "mis",
-    "leakage-eval": "leakage_eval",
-    "leakage-optimal": "leakage_optimal",
-    "scheme": "mapping",
-    "merge": "mapping",
-    "bounds-multi": "bounds",
-    "bounds-approx": "bounds",
-    "bounds-multi-approx": "bounds",
-    "oracle": "oracle",
-}
-
 
 def load_schema(name: str) -> dict:
     import json
@@ -82,68 +72,10 @@ def load_schema(name: str) -> dict:
     return json.loads(text)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as domain errors, never exit code 2."""
-
-    def error(self, message):
-        raise DomainError("usage", message)
-
-
 def load_graph(spec: str) -> Graph:
     if spec.startswith("fixture:"):
         return resolve_fixture(spec[len("fixture:"):])
     return graph_from_obj(load_json_file(spec, "graph"))
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="zeroleak", description="Exact leakage analysis over confusion graphs.")
-    sub = parser.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
-    sub.required = True
-
-    def add(name, help_text, graphs=0, theta=False, mapping=False, t=False, budget=False):
-        p = sub.add_parser(name, help=help_text)
-        if graphs == 1:
-            p.add_argument("--graph", required=True, help="graph JSON path or fixture:NAME")
-        elif graphs > 1:
-            p.add_argument("--graph", required=True, action="append", dest="graphs",
-                           help="graph JSON path or fixture:NAME (repeat)")
-        if theta:
-            p.add_argument("--theta", required=True, help="adversary graph JSON path or fixture:NAME")
-        if mapping:
-            p.add_argument("--mapping", required=True, help="stochastic mapping JSON path")
-        if t:
-            p.add_argument("--t", type=int, default=1, help="block length (default 1)")
-        if budget:
-            p.add_argument("--budget", required=True, help="const:c | poly:d | exp:p/q | table:PATH")
-        p.add_argument("--out", help="write output JSON here instead of stdout")
-        return p
-
-    add("info", "vertex, edge, and independence facts about a graph", graphs=1)
-    p = add("product", "product of two or more graphs", graphs=2)
-    p.add_argument("--op", required=True, choices=("or", "and"), help="which product")
-    add("chif", "fractional chromatic number", graphs=1)
-    add("alpha", "independence number", graphs=1)
-    add("mis", "all maximal independent sets", graphs=1)
-    add("leakage-eval", "maximal leakage of a valid mapping", graphs=1, mapping=True)
-    add("leakage-optimal", "least leakage for block length t, with witness scheme", graphs=1, t=True)
-    add("scheme", "optimal single-symbol scheme from a fractional coloring", graphs=1)
-    p = add("merge", "merge two codewords of a mapping", graphs=1, mapping=True)
-    p.add_argument("y1", help="first codeword name")
-    p.add_argument("y2", help="second codeword name")
-    add("bounds-multi", "leakage rate bounds against a multi-guess adversary", graphs=1, budget=True)
-    add("bounds-approx", "leakage rate bounds against an approximate-guess adversary", graphs=1, theta=True)
-    add("bounds-multi-approx", "bounds against several approximate guesses", graphs=1, theta=True, budget=True)
-    p = sub.add_parser("oracle", help="run independent cross-checks")
-    p.add_argument("checks", nargs="*", metavar="CHECK", help=f"checks to run, from: {', '.join(ORACLE_CHECKS)} (default: all applicable)")
-    p.add_argument("--graph", help="graph JSON path or fixture:NAME")
-    p.add_argument("--theta", help="adversary graph JSON path or fixture:NAME")
-    p.add_argument("--t", type=int, default=1, help="block length (default 1)")
-    p.add_argument("--budget", help="guess budget for the floor check (default const:1)")
-    p.add_argument("--grid", type=int, default=4, help="prior grid resolution, and r for the floor check (default 4)")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized trials (default 0)")
-    p.add_argument("--trials", type=int, default=100, help="randomized trial count (default 100)")
-    p.add_argument("--out", help="write output JSON here instead of stdout")
-    return parser
 
 
 def _value_obj(value) -> dict:
@@ -165,9 +97,9 @@ def _cmd_info(args) -> dict:
 
 
 def _cmd_product(args) -> dict:
-    if len(args.graphs) < 2:
+    if len(args.graph) < 2:
         raise DomainError("usage", "product needs --graph given at least twice")
-    graphs = [load_graph(spec) for spec in args.graphs]
+    graphs = [load_graph(spec) for spec in args.graph]
     combine = or_product if args.op == "or" else and_product
     return graph_to_obj(functools.reduce(combine, graphs))
 
@@ -239,62 +171,245 @@ def _cmd_bounds_multi_approx(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
-    for check in args.checks:
+    for check in args.check:
         if check not in ORACLE_CHECKS:
             raise DomainError("usage", f"unknown check {check!r}; choose from: {', '.join(ORACLE_CHECKS)}")
-    requested = tuple(args.checks) or None
     gamma = load_graph(args.graph) if args.graph else None
     theta = load_graph(args.theta) if args.theta else None
     budget = parse_budget_spec(args.budget) if args.budget else GuessBudget.constant(1)
-
-    def applicable():
-        checks = []
+    checks = list(args.check)
+    if not checks:
         if gamma is not None:
-            checks.extend(["duality", "multi-guess-floor", "merge-closure"])
+            checks += ["duality", "multi-guess-floor", "merge-closure"]
         if theta is not None:
             checks.append("packing")
         if not checks:
             raise DomainError("usage", "oracle needs --graph or --theta")
-        return checks
-
     reports = []
-    for check in requested or applicable():
+    for check in checks:
+        # packing reads the adversary's graph, every other check the source's
+        graph = theta if check == "packing" else gamma
+        if graph is None:
+            raise DomainError("usage", f"{check} check needs {'--theta' if check == 'packing' else '--graph'}")
         if check == "duality":
-            if gamma is None:
-                raise DomainError("usage", "duality check needs --graph")
-            reports.append(verify_eta_duality(gamma, args.t))
+            reports.append(verify_eta_duality(graph, args.t))
         elif check == "packing":
-            if theta is None:
-                raise DomainError("usage", "packing check needs --theta")
-            _require_nonempty(theta)
-            reports.append(verify_packing_reciprocity(theta, distribution_grid(theta.vertex_count, args.grid)))
+            _require_nonempty(graph)
+            reports.append(verify_packing_reciprocity(graph, distribution_grid(graph.vertex_count, args.grid)))
         elif check == "multi-guess-floor":
-            if gamma is None:
-                raise DomainError("usage", "multi-guess-floor check needs --graph")
-            _require_nonempty(gamma)
-            reports.append(verify_multi_guess_floor(gamma, budget, args.t, args.grid, args.trials, args.seed))
+            _require_nonempty(graph)
+            reports.append(verify_multi_guess_floor(graph, budget, args.t, args.grid, args.trials, args.seed))
         else:
-            if gamma is None:
-                raise DomainError("usage", "merge-closure check needs --graph")
-            reports.append(verify_mergeability_closure(gamma, args.t, args.trials, args.seed))
+            reports.append(verify_mergeability_closure(graph, args.t, args.trials, args.seed))
     return {"reports": reports}
 
 
-_HANDLERS = {
-    "info": _cmd_info,
-    "product": _cmd_product,
-    "chif": _cmd_chif,
-    "alpha": _cmd_alpha,
-    "mis": _cmd_mis,
-    "leakage-eval": _cmd_leakage_eval,
-    "leakage-optimal": _cmd_leakage_optimal,
-    "scheme": _cmd_scheme,
-    "merge": _cmd_merge,
-    "bounds-multi": _cmd_bounds_multi,
-    "bounds-approx": _cmd_bounds_approx,
-    "bounds-multi-approx": _cmd_bounds_multi_approx,
-    "oracle": _cmd_oracle,
+class _Option:
+    """An option, `--name VALUE`, or a positional when the flag has no dash.
+
+    An int default makes the values ints.  A repeated option collects a
+    list, and a repeated positional takes every positional left.
+    """
+
+    __slots__ = ("flag", "help", "required", "default", "choices", "repeat", "dest", "label", "usage")
+
+    def __init__(self, flag, help_text, required=False, default=None, choices=None, repeat=False):
+        self.flag, self.help, self.required = flag, help_text, required
+        self.default, self.choices, self.repeat = default, choices, repeat
+        self.dest = flag.lstrip("-").lower()
+        if flag[0] != "-":
+            self.label, self.usage = flag, f"[{flag} ...]" if repeat else flag
+        else:
+            self.label = f"{flag} {'{' + ','.join(choices) + '}' if choices else self.dest.upper()}"
+            self.usage = self.label if required else f"[{self.label}]"
+
+
+_HELP = _Option("-h/--help", "show this help message and exit")
+_TOP_FLAGS = {"-h": _HELP, "--help": _HELP}
+_GRAPH = _Option("--graph", "graph JSON path or fixture:NAME", required=True)
+_THETA = _Option("--theta", "adversary graph JSON path or fixture:NAME", required=True)
+_MAPPING = _Option("--mapping", "stochastic mapping JSON path", required=True)
+_BUDGET = _Option("--budget", "const:c | poly:d | exp:p/q | table:PATH", required=True)
+_T = _Option("--t", "block length (default 1)", default=1)
+_OUT = _Option("--out", "write output JSON here instead of stdout")
+
+# Each subcommand's (help line, handler, output schema, options).  Parsing,
+# help, dispatch and SCHEMA_BY_SUBCOMMAND all read this table; options are
+# listed in the order usage errors and help name them.
+_SUBCOMMANDS = {
+    "info": ("vertex, edge, and independence facts about a graph", _cmd_info, "info", (_GRAPH, _OUT)),
+    "product": (
+        "product of two or more graphs", _cmd_product, "graph",
+        (
+            _Option("--graph", "graph JSON path or fixture:NAME (repeat)", required=True, repeat=True),
+            _OUT,
+            _Option("--op", "which product", required=True, choices=("or", "and")),
+        ),
+    ),
+    "chif": ("fractional chromatic number", _cmd_chif, "chif", (_GRAPH, _OUT)),
+    "alpha": ("independence number", _cmd_alpha, "alpha", (_GRAPH, _OUT)),
+    "mis": ("all maximal independent sets", _cmd_mis, "mis", (_GRAPH, _OUT)),
+    "leakage-eval": ("maximal leakage of a valid mapping", _cmd_leakage_eval, "leakage_eval", (_GRAPH, _MAPPING, _OUT)),
+    "leakage-optimal": (
+        "least leakage for block length t, with witness scheme", _cmd_leakage_optimal, "leakage_optimal",
+        (_GRAPH, _T, _OUT),
+    ),
+    "scheme": ("optimal single-symbol scheme from a fractional coloring", _cmd_scheme, "mapping", (_GRAPH, _OUT)),
+    "merge": (
+        "merge two codewords of a mapping", _cmd_merge, "mapping",
+        (
+            _GRAPH, _MAPPING, _OUT,
+            _Option("y1", "first codeword name", required=True),
+            _Option("y2", "second codeword name", required=True),
+        ),
+    ),
+    "bounds-multi": (
+        "leakage rate bounds against a multi-guess adversary", _cmd_bounds_multi, "bounds", (_GRAPH, _BUDGET, _OUT)
+    ),
+    "bounds-approx": (
+        "leakage rate bounds against an approximate-guess adversary", _cmd_bounds_approx, "bounds",
+        (_GRAPH, _THETA, _OUT),
+    ),
+    "bounds-multi-approx": (
+        "bounds against several approximate guesses", _cmd_bounds_multi_approx, "bounds",
+        (_GRAPH, _THETA, _BUDGET, _OUT),
+    ),
+    "oracle": (
+        "run independent cross-checks", _cmd_oracle, "oracle",
+        (
+            _Option("--graph", "graph JSON path or fixture:NAME"),
+            _Option("--theta", "adversary graph JSON path or fixture:NAME"),
+            _T,
+            _Option("--budget", "guess budget for the floor check (default const:1)"),
+            _Option("--grid", "prior grid resolution, and r for the floor check (default 4)", default=4),
+            _Option("--seed", "seed for randomized trials (default 0)", default=0),
+            _Option("--trials", "randomized trial count (default 100)", default=100),
+            _OUT,
+            _Option("CHECK", f"checks to run, from: {', '.join(ORACLE_CHECKS)} (default: all applicable)", repeat=True),
+        ),
+    ),
 }
+
+# published schema for each subcommand's success output
+SCHEMA_BY_SUBCOMMAND = {name: row[2] for name, row in _SUBCOMMANDS.items()}
+
+
+def _invalid_choice(what: str, value: str, choices) -> DomainError:
+    listed = ", ".join(map(repr, choices))
+    return DomainError("usage", f"argument {what}: invalid choice: {value!r} (choose from {listed})")
+
+
+def _read_token(token: str, flags: dict):
+    """Read one token as argparse does: (option, inline value or None) for
+    an option, (None, None) for an unknown option, None for a value.
+
+    `--name=VALUE` splits at the first `=`, and a unique prefix of a long
+    flag names its option.  A lone `-`, a negative number and a token with a
+    space that names no option are values.
+    """
+    if len(token) < 2 or token[0] != "-" or token == "--":
+        return None
+    if token in flags:
+        return flags[token], None
+    flag, eq, value = token.partition("=")
+    if eq and flag in flags:
+        return flags[flag], value
+    if token[1] == "-":
+        matches = [name for name in flags if name.startswith(flag)]
+        if len(matches) > 1:
+            raise DomainError("usage", f"ambiguous option: {token} could match {', '.join(matches)}")
+        if matches:
+            return flags[matches[0]], value if eq else None
+    elif token[:2] in flags:
+        return flags[token[:2]], token[2:]
+    if re.fullmatch(r"-\d+|-\d*\.\d+", token) or " " in token:
+        return None
+    return None, None
+
+
+def _show_help(name: str | None, inline: str | None) -> None:
+    if inline is not None:
+        raise DomainError("usage", f"argument -h/--help: ignored explicit argument {inline!r}")
+    if name is None:
+        usage, about = "zeroleak [-h] SUBCOMMAND ...", "Exact leakage analysis over confusion graphs."
+        entries = [(sub, row[0]) for sub, row in _SUBCOMMANDS.items()]
+    else:
+        about, _, _, options = _SUBCOMMANDS[name]
+        usage = " ".join([f"zeroleak {name} [-h]"] + [o.usage for o in options])
+        entries = [(o.label, o.help) for o in options]
+    entries.insert(0, ("-h, --help", _HELP.help))
+    width = max(len(left) for left, _ in entries) + 2
+    body = "".join(f"  {left.ljust(width)}{text}\n" for left, text in entries)
+    _emit(f"usage: {usage}\n\n{about}\n\n{body}".encode(), None)
+
+
+def _parse(argv: list[str]):
+    """Read argv against `_SUBCOMMANDS`: (subcommand, args), or None once
+    `-h` has printed its help.  Every usage problem is a `usage` DomainError
+    worded as argparse words it.
+
+    The subcommand comes first.  An option takes one value, the last one
+    given wins unless the option repeats, and a value that reads as an
+    option is refused.  Positionals may sit between options, and after `--`
+    every token is one.
+    """
+    if not argv:
+        raise DomainError("usage", "the following arguments are required: SUBCOMMAND")
+    name, tokens = argv[0], argv[1:]
+    read = _read_token(name, _TOP_FLAGS)
+    if read and read[0] is _HELP:
+        return _show_help(None, read[1])
+    if name not in _SUBCOMMANDS:
+        raise _invalid_choice("SUBCOMMAND", name, _SUBCOMMANDS)
+    options = _SUBCOMMANDS[name][3]
+    flags = dict(_TOP_FLAGS, **{o.flag: o for o in options if o.flag[0] == "-"})
+    slots = [o for o in options if o.flag[0] != "-"]
+    ends = tokens.index("--") if "--" in tokens else len(tokens)
+    reads = [_read_token(token, flags) for token in tokens[:ends]] + [None] * (len(tokens) - ends)
+    if ends < len(tokens):
+        if slots:
+            del tokens[ends], reads[ends]
+        else:
+            reads[ends] = None, None  # argparse leaves it unrecognized
+    values = {o.dest: [] if o.repeat else o.default for o in options}
+    extras, filled, i = [], 0, 0
+    while i < len(tokens):
+        token, read = tokens[i], reads[i]
+        i += 1
+        if read is None:
+            if filled == len(slots):
+                extras.append(token)
+                continue
+            option, value = slots[filled], token
+            filled += not option.repeat
+        else:
+            option, value = read
+            if option is None:
+                extras.append(token)
+                continue
+            if option is _HELP:
+                return _show_help(name, value)
+            if value is None:
+                if i == ends or reads[i] is not None:
+                    raise DomainError("usage", f"argument {option.flag}: expected one argument")
+                value, i = tokens[i], i + 1
+        if isinstance(option.default, int):
+            try:
+                value = int(value)
+            except ValueError:
+                raise DomainError("usage", f"argument {option.flag}: invalid int value: {value!r}") from None
+        if option.choices and value not in option.choices:
+            raise _invalid_choice(option.flag, value, option.choices)
+        if option.repeat:
+            values[option.dest].append(value)
+        else:
+            values[option.dest] = value
+    missing = [o.flag for o in options if o.required and values[o.dest] in (None, [])]
+    if missing:
+        raise DomainError("usage", f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise DomainError("usage", f"unrecognized arguments: {' '.join(extras)}")
+    return name, SimpleNamespace(**values)
 
 
 def _emit(data: bytes, out_path: str | None) -> None:
@@ -307,12 +422,14 @@ def _emit(data: bytes, out_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        result = _HANDLERS[args.subcommand](args)
+        parsed = _parse(sys.argv[1:] if argv is None else list(argv))
+        if parsed is None:
+            return 0
+        name, args = parsed
+        result = _SUBCOMMANDS[name][1](args)
         _emit(canonical_json_bytes(result), args.out)
-        if args.subcommand == "oracle" and any(r["status"] == "fail" for r in result["reports"]):
+        if name == "oracle" and any(r["status"] == "fail" for r in result["reports"]):
             return 3
         return 0
     except ZeroleakError as exc:

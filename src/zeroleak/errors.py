@@ -2,7 +2,8 @@
 
 Each error class maps to one process exit code so the CLI can translate
 failures without inspecting messages: domain errors exit 1, resource-budget
-errors exit 2, oracle check failures exit 3.
+errors exit 2.  A failed oracle check is a report, not an error; the CLI
+exits 3 when one of its reports says `fail`.
 """
 
 from __future__ import annotations
@@ -42,13 +43,3 @@ class ResourceBudgetError(ZeroleakError):
         self.budget_name = budget_name
         self.limit = limit
 
-
-class OracleCheckError(ZeroleakError):
-    """A brute-force verifier contradicted an analytical result."""
-
-    exit_code = 3
-
-    def __init__(self, check: str, report: dict[str, Any]):
-        super().__init__("oracle_check_failed", f"oracle check {check!r} failed", {"report": report})
-        self.check = check
-        self.report = report

@@ -1,10 +1,11 @@
-"""Named example graphs, shipped as JSON and backed by parametric builders.
+"""Named example graphs: parametric builders, and JSON for the rest.
 
-`fixture:NAME` on the command line resolves here.  Shipped files win over the
-parametric patterns c<n> (cycle), k<n> (complete), e<n> (edgeless), p<n>
-(path), so the two sources can never disagree about a shipped name.  A
-parametric fixture checks the number of edges it is about to list against a
-`fixture_edges` meter first, so a huge n fails at once instead of allocating.
+`fixture:NAME` on the command line resolves here.  The parametric patterns
+c<n> (cycle), k<n> (complete), e<n> (edgeless) and p<n> (path) are built;
+only the graphs no pattern makes (`fig1`, `fig1_theta`, `petersen`) ship as
+JSON files, so each name has one source.  A parametric fixture checks the
+number of edges it is about to list against a `fixture_edges` meter first,
+so a huge n fails at once instead of allocating.
 """
 
 from __future__ import annotations
@@ -17,22 +18,9 @@ from ..errors import DomainError
 from ..graphs import Graph, make_graph
 from ..jsonio import graph_from_obj
 
-SHIPPED = (
-    "c5",
-    "c7",
-    "e1",
-    "e2",
-    "e3",
-    "e5",
-    "fig1",
-    "fig1_theta",
-    "k2",
-    "k3",
-    "k4",
-    "k5",
-    "p3",
-    "petersen",
-)
+SHIPPED = ("fig1", "fig1_theta", "petersen")
+# the example corpus, in name order
+CORPUS = ("c5", "c7", "e1", "e2", "e3", "e5", "fig1", "fig1_theta", "k2", "k3", "k4", "k5", "p3", "petersen")
 
 
 def _edge_guard(edges: int) -> None:
@@ -73,7 +61,7 @@ def _load_shipped(name: str) -> Graph:
 
 
 def resolve_fixture(name: str) -> Graph:
-    """Look up a fixture by name: shipped file first, then a parametric pattern."""
+    """Look up a fixture by name: a shipped file or a parametric pattern."""
     if name in SHIPPED:
         return _load_shipped(name)
     kind, digits = name[:1], name[1:]
@@ -87,9 +75,9 @@ def resolve_fixture(name: str) -> Graph:
             return edgeless_graph(n)
         if kind == "p":
             return path_graph(n)
-    raise DomainError("unknown_fixture", f"no fixture named {name!r}", {"known": list(SHIPPED)})
+    raise DomainError("unknown_fixture", f"no fixture named {name!r}", {"known": list(CORPUS)})
 
 
 def fixture_corpus() -> tuple[tuple[str, Graph], ...]:
-    """Every shipped fixture, by name, in name order."""
-    return tuple((name, resolve_fixture(name)) for name in SHIPPED)
+    """Every corpus fixture, by name, in name order."""
+    return tuple((name, resolve_fixture(name)) for name in CORPUS)

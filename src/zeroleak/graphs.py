@@ -9,9 +9,10 @@ A graph is its bitmask rows: bit u of `rows[v]` is set iff uv is an edge.
 build rows directly, and the edge set is derived from the rows on first
 use.  Products, maximal-independent-set enumeration, the independence
 number's branch and bound and neighbourhood traces are bit operations on
-the rows.  The independence number lists no independent sets: it bounds
-each search node by a greedy clique cover of its candidates.  Inside the
-package a vertex set is an int mask in the same layout.
+the rows.  The independence number lists no independent sets: it starts
+from a greedy independent set and bounds each search node by a greedy
+clique cover of its candidates.  Inside the package a vertex set is an int
+mask in the same layout.
 
 Graphs, hypergraphs and vertex-set families are frozen values
 (`values.FrozenValue`): equal fields give equal graphs with equal hashes,
@@ -476,16 +477,24 @@ def independence_number(g: Graph) -> int:
     Rodriguez-Losada & Jimenez 2011).  Children are made one at a time from
     an explicit stack of open nodes, so no depth of search reaches the
     recursion limit and the stack holds one mask and one branch list per
-    level, not one mask per child.  Each node costs one mis_enumeration
-    unit per candidate it scans, and the rows' size is checked against the
-    same budget first.
+    level, not one mask per child.  The first best set is a greedy one
+    (take the lowest candidate, drop its closed row, repeat), so a graph
+    whose greedy set meets the root's cover bound, such as disjoint cliques,
+    is one node.  The greedy pass costs one mis_enumeration unit per vertex
+    and each node one unit per candidate it scans; the rows' size is checked
+    against the same budget first.
     """
     _require_nonempty(g)
     n = g.vertex_count
     meter = WorkMeter("mis_enumeration")
     meter.check_size(_row_words(n), "bitset rows")
     rows = g.rows
-    best = 0
+    meter.spend(n)
+    best, p = 0, (1 << n) - 1
+    while p:
+        low = p & -p
+        p &= ~(low | rows[low.bit_length() - 1])
+        best += 1
     size, p = 0, (1 << n) - 1
     open_nodes = []
     while True:

@@ -390,6 +390,110 @@ def test_usage_errors(capsysbinary):
     assert code == 1
 
 
+# each usage path of the table parser, with a word its message must name;
+# the wording is argparse's
+USAGE_ERRORS = [
+    ((), "the following arguments are required: SUBCOMMAND"),
+    (("nonsense",), "argument SUBCOMMAND: invalid choice: 'nonsense' (choose from 'info', 'product'"),
+    (("product", "--op", "xor", "--graph", "fixture:k2"), "argument --op: invalid choice: 'xor' (choose from 'or', 'and')"),
+    (("bounds-multi-approx", "--graph", "fixture:c5"), "the following arguments are required: --theta, --budget"),
+    (("merge", "--graph", "fixture:c5", "--mapping", "m.json", "a"), "the following arguments are required: y2"),
+    (("leakage-optimal", "--graph", "fixture:c5", "--t", "2.5"), "argument --t: invalid int value: '2.5'"),
+    (("oracle", "--grid", "x"), "argument --grid: invalid int value: 'x'"),
+    (("oracle", "--seed", "x"), "argument --seed: invalid int value: 'x'"),
+    (("oracle", "--trials=x"), "argument --trials: invalid int value: 'x'"),
+    (("chif", "--graph"), "argument --graph: expected one argument"),
+    (("chif", "--graph", "--out", "o.json"), "argument --graph: expected one argument"),
+    (("chif", "--graph", "-x"), "argument --graph: expected one argument"),
+    (("chif", "--graph", "--", "fixture:c5"), "argument --graph: expected one argument"),
+    (("chif", "--graph", "fixture:c5", "--bogus", "3"), "unrecognized arguments: --bogus 3"),
+    (("alpha", "--graph", "fixture:c5", "x", "--t", "2"), "unrecognized arguments: x --t 2"),
+    (("chif", "--graph", "fixture:c5", "--", "x"), "unrecognized arguments: -- x"),
+    (("oracle", "--g", "fixture:c5"), "ambiguous option: --g could match --graph, --grid"),
+    (("product", "--o", "and"), "ambiguous option: --o could match --out, --op"),
+    (("chif", "--help=x"), "argument -h/--help: ignored explicit argument 'x'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_usage_errors_keep_argparse_wording(capsysbinary, argv, message):
+    code, out, err = run_main(capsysbinary, *argv)
+    assert code == 1 and out == b""
+    error = json.loads(err)
+    jsonschema.validate(error, load_schema("error"))
+    assert error["error"]["code"] == "usage"
+    assert error["error"]["message"].startswith(message)
+
+
+def test_option_spellings_give_the_same_answer(capsysbinary):
+    expected = run_main(capsysbinary, "leakage-optimal", "--graph", "fixture:c5", "--t", "2")
+    assert expected[0] == 0
+    for argv in (
+        ("leakage-optimal", "--graph=fixture:c5", "--t=2"),
+        ("leakage-optimal", "--gr", "fixture:c5", "--t", "2"),
+        ("leakage-optimal", "--g=fixture:c5", "--t", "2"),
+        ("leakage-optimal", "--t", "2", "--graph", "fixture:k2", "--graph", "fixture:c5"),
+        ("leakage-optimal", "--t", "5", "--graph", "fixture:c5", "--t", "2"),
+    ):
+        assert run_main(capsysbinary, *argv) == expected, argv
+
+
+def test_negative_numbers_and_lone_dashes_are_values(capsysbinary):
+    # read as values, they reach the library, which refuses them itself
+    code, out, err = run_main(capsysbinary, "leakage-optimal", "--graph", "fixture:c5", "--t", "-1")
+    assert code == 1 and json.loads(err)["error"]["code"] != "usage"
+    code, out, err = run_main(capsysbinary, "chif", "--graph", "-")
+    assert code == 1 and json.loads(err)["error"]["code"] == "unreadable_file"
+
+
+def test_positionals_may_sit_between_options(capsysbinary, tmp_path):
+    m = generate_valid_mapping(resolve_fixture("e3"), 1, 4, random.Random(1), duplicate_codebook=True)
+    path = write_json(tmp_path, "dup.json", mapping_to_obj(m))
+    y1, y2 = m.codewords
+    expected = run_main(capsysbinary, "merge", "--graph", "fixture:e3", "--mapping", path, y1, y2)
+    assert expected[0] == 0
+    for argv in (
+        ("merge", y1, "--graph", "fixture:e3", y2, "--mapping", path),
+        ("merge", "--graph", "fixture:e3", "--mapping", path, "--", y1, y2),
+        ("merge", "--g", "fixture:e3", y1, "--m=" + path, "--", y2),
+    ):
+        assert run_main(capsysbinary, *argv) == expected, argv
+    # after `--` a token that reads as an option is a codeword name
+    code, _, err = run_main(capsysbinary, "merge", "--graph", "fixture:e3", "--mapping", path, "--", "-a", y2)
+    assert code == 1 and json.loads(err)["error"]["message"] == "no codeword named '-a'"
+    expected = run_main(capsysbinary, "oracle", "duality", "packing", "--graph", "fixture:k3", "--theta", "fixture:k3")
+    assert expected[0] == 0
+    for argv in (
+        ("oracle", "duality", "--graph", "fixture:k3", "packing", "--theta", "fixture:k3"),
+        ("oracle", "--th", "fixture:k3", "--gra", "fixture:k3", "--", "duality", "packing"),
+    ):
+        assert run_main(capsysbinary, *argv) == expected, argv
+
+
+def test_product_repeats_graph_and_checks_op(capsysbinary):
+    code, out, _ = run_main(
+        capsysbinary, "product", "--graph", "fixture:k2", "--op=and", "--gr", "fixture:p3", "--graph=fixture:e1"
+    )
+    assert code == 0
+    assert json.loads(out)["n"] == 6
+
+
+def test_help_goes_to_stdout_and_exits_zero(capsysbinary):
+    code, out, err = run_proc("--help")
+    assert code == 0 and err == b""
+    text = out.decode()
+    assert text.startswith("usage: zeroleak")
+    assert all(name in text for name in SCHEMA_BY_SUBCOMMAND)
+    for flag in ("-h", "--help", "--he"):
+        code, out, err = run_main(capsysbinary, "merge", flag)
+        assert code == 0 and err == b""
+        text = out.decode()
+        assert text.startswith("usage: zeroleak merge") and "--mapping MAPPING" in text and "y2" in text
+    # help is read in turn, so it wins over options still missing or unknown
+    code, out, _ = run_main(capsysbinary, "oracle", "--bogus", "--h")
+    assert code == 0 and "CHECK" in out.decode()
+
+
 def test_unreadable_and_malformed_files(capsysbinary, tmp_path):
     code, _, err = run_main(capsysbinary, "chif", "--graph", str(tmp_path / "missing.json"))
     assert code == 1
@@ -482,7 +586,7 @@ def test_out_matches_stdout(capsysbinary, tmp_path):
 def test_fixture_files_are_canonical():
     from importlib import resources
 
-    for name in ("c5", "petersen", "fig1", "k2"):
+    for name in ("fig1", "fig1_theta", "petersen"):
         raw = resources.files("zeroleak.fixtures").joinpath(f"{name}.json").read_bytes()
         g = resolve_fixture(name)
         assert canonical_json_bytes(graph_to_obj(g)) == raw
@@ -620,6 +724,14 @@ def test_alpha_on_a_large_graph_with_one_edge(capsysbinary, tmp_path):
     code, out, err = run_main(capsysbinary, "alpha", "--graph", path)
     assert code == 0 and err == b""
     assert json.loads(out) == {"alpha": 8191}
+
+
+def test_alpha_on_a_perfect_matching(capsysbinary, tmp_path):
+    # the greedy first set meets the root's cover bound, so the search is one node
+    path = write_json(tmp_path, "matching.json", {"n": 8192, "edges": [[v, v + 1] for v in range(0, 8192, 2)]})
+    code, out, err = run_main(capsysbinary, "alpha", "--graph", path)
+    assert code == 0 and err == b""
+    assert json.loads(out) == {"alpha": 4096}
 
 
 def test_oracle_trials_are_checked_before_the_loop(capsysbinary):

@@ -222,15 +222,16 @@ def test_independence_number_matches_enumeration():
 
 
 def test_independence_number_units_are_pinned(monkeypatch):
-    # one unit per candidate scanned per node; the counts fix the cover and branch order
+    # n units for the greedy first set, then one unit per candidate scanned
+    # per node; the counts fix the greedy set, the cover and the branch order
     c5, c7 = resolve_fixture("c5"), resolve_fixture("c7")
     pinned = [
-        (make_graph(5, []), 5),
-        (c5, 7),
-        (c7, 13),
-        (resolve_fixture("petersen"), 26),
-        (or_power(c5, 2), 91),
-        (or_power(c7, 2), 370),
+        (make_graph(5, []), 10),
+        (c5, 12),
+        (c7, 18),
+        (resolve_fixture("petersen"), 36),
+        (or_power(c5, 2), 111),
+        (or_power(c7, 2), 379),
     ]
     for g, units in pinned:
         monkeypatch.setenv("ZEROLEAK_BUDGET", str(units))

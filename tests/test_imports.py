@@ -7,7 +7,8 @@ as used, because that file imports it to re-export it.
 The start-up guard imports `zeroleak.cli` in a fresh interpreter.  Every
 CLI call pays that import, so it must not load the modules that code
 generation and source introspection need, nor `importlib.resources`, which
-the shipped fixtures do not need to be read.  It must still load every module
+the shipped fixtures do not need to be read, nor `argparse` and the
+`gettext` it pulls in, which the CLI's own table parser replaces.  It must still load every module
 that the benchmark's tracer assigns a layer, because the tracer wraps only
 the functions of modules loaded by that import.
 """
@@ -23,7 +24,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SOURCE = ROOT / "src" / "zeroleak"
 MODULES = sorted(SOURCE.rglob("*.py"))
-HEAVY_AT_START_UP = ("dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources")
+HEAVY_AT_START_UP = (
+    "dataclasses", "inspect", "ast", "dis", "tokenize", "importlib.resources", "argparse", "gettext"
+)
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
