@@ -11,10 +11,10 @@ MIS enumeration, the independence number and the graph products also check
 the size of their bitmask rows before building them,
 `make_graph` checks the rows it is about to allocate against `graph_rows`
 (n * ceil(n / 64) words with an edge, n words without), the t-fold powers
-check t - 1 times their rows' words and the product MIS family its
-t factors per set, so a huge t fails even on one vertex, the
-approximate-guess caps of one call share one meter and spend t factors per
-tuple of base families, so a long table budget fails too,
+check t - 1 times their rows' words and the product MIS family t units
+per set besides its members, so a huge t fails even on one vertex, the
+approximate-guess caps of one call share one meter and spend t units per
+ordered tuple of base families, so a long table budget fails too,
 product trace families check theirs (`trace_family`), `make_mapping`
 checks the size of its integer counts as their common denominator grows,
 `generate_valid_mapping` checks the units it deals, sequences times r

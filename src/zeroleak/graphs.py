@@ -25,7 +25,7 @@ import itertools
 from functools import cached_property, lru_cache
 
 from .budget import AUTOMORPHISM_VERTEX_CAP, WorkMeter
-from .errors import DomainError
+from .errors import DomainError, ResourceBudgetError
 from .values import FrozenValue
 
 
@@ -153,7 +153,11 @@ def edge_pairs(g: Graph) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=None)
 def adjacency(g: Graph) -> tuple[frozenset[int], ...]:
-    """Neighbor sets, one frozenset per vertex."""
+    """Neighbor sets, one frozenset per vertex.
+
+    No function of the package calls it; it stays exported and cached
+    because the benchmark's tracer reads its `cache_info()`.
+    """
     return tuple(frozenset(_bits(row)) for row in g.rows)
 
 
@@ -377,20 +381,16 @@ def _capped_power(base: int, t: int, limit: int) -> int:
     return base ** min(t, limit.bit_length())
 
 
-def _power(g: Graph, t: int, product) -> Graph:
-    """The t-fold power by repeated squaring.
+def _power_by_squaring(x, t: int, product):
+    """x multiplied by itself t times, t >= 1, under an associative product.
 
-    The products are associative and the big-endian sequence encoding
-    splits at any coordinate, so any bracketing of t factors gives the same
-    rows as the left fold; squaring takes at most 2 log2(t) products.  The
-    left fold's rows' words, t - 1 times the power's, are checked against a
-    `graph_product` meter first, so a one-vertex graph cannot loop for a huge t.
+    Any bracketing of t equal factors gives the left fold's result, so
+    repeated squaring returns it in at most 2 log2(t) products.  Every
+    t-fold object of the package is built here: the graph powers, the
+    product sets, the tensored certificate and the product priors, whose
+    big-endian sequence encodings split at any coordinate.
     """
-    _require_power(t)
-    _require_nonempty(g)
-    meter = WorkMeter("graph_product")
-    meter.check_size((t - 1) * _row_words(_capped_power(g.vertex_count, t, meter.limit)), "power rows")
-    result, square = None, g
+    result, square = None, x
     while True:
         if t & 1:
             result = square if result is None else product(result, square)
@@ -400,12 +400,25 @@ def _power(g: Graph, t: int, product) -> Graph:
         square = product(square, square)
 
 
+def _power(g: Graph, t: int, product) -> Graph:
+    """The t-fold power by repeated squaring (`_power_by_squaring`).
+
+    The left fold's rows' words, t - 1 times the power's, are checked
+    against a `graph_product` meter first, so a one-vertex graph cannot
+    loop for a huge t.
+    """
+    _require_power(t)
+    _require_nonempty(g)
+    meter = WorkMeter("graph_product")
+    meter.check_size((t - 1) * _row_words(_capped_power(g.vertex_count, t, meter.limit)), "power rows")
+    return _power_by_squaring(g, t, product)
+
+
 @lru_cache(maxsize=None)
 def or_power(g: Graph, t: int) -> Graph:
     return _power(g, t, or_product)
 
 
-@lru_cache(maxsize=None)
 def and_power(g: Graph, t: int) -> Graph:
     return _power(g, t, and_product)
 
@@ -414,7 +427,7 @@ def closed_neighborhood(g: Graph, v: int) -> frozenset[int]:
     """The vertex together with its neighbors."""
     if not (0 <= v < g.vertex_count):
         raise DomainError("vertex_out_of_range", f"vertex {v} out of range for n={g.vertex_count}")
-    return adjacency(g)[v] | {v}
+    return frozenset(_bits(g.rows[v] | 1 << v))
 
 
 # ---------------------------------------------------------------------------
@@ -529,28 +542,30 @@ def independence_number(g: Graph) -> int:
             return best
 
 
+def _set_product(left, right):
+    """(width, sets) of the products A x B of the left and right families'
+    sets, in left-major order: member a of A and b of B give a * width_B + b."""
+    (left_width, left_sets), (width, right_sets) = left, right
+    return left_width * width, [tuple(a * width + b for a in x for b in y) for x in left_sets for y in right_sets]
+
+
 def product_sets(base_sets, n: int, t: int) -> list[tuple[int, ...]]:
     """The members of S1 x ... x St for every t-tuple of base sets, t >= 1.
 
     Tuples come in `itertools.product` order over `base_sets`, and each
     product's members are encoded through the sequence numbering of an
     n-vertex graph's t-fold power; base sets in ascending order give members
-    in ascending order.  The family's size is checked against a
-    `mis_enumeration` meter before it is built: each of the |sets|**t
-    products holds its t factors and at most alpha**t members, so the size
-    is |sets|**t * (t + alpha**t).
+    in ascending order.  The family is the t-th power of (n, base_sets) under
+    `_set_product`, so products of equal prefixes are built once.  Its size
+    is checked against a `mis_enumeration` meter before it is built:
+    |sets|**t products of at most alpha**t members, plus t units per product,
+    so a huge t is refused even where every set has one member.
     """
     alpha = max(map(len, base_sets))
     meter = WorkMeter("mis_enumeration")
     size = _capped_power(len(base_sets), t, meter.limit) * (t + _capped_power(alpha, t, meter.limit))
     meter.check_size(size, "product MIS family")
-    out = []
-    for combo in itertools.product(base_sets, repeat=t):
-        members = (0,)
-        for s in combo:
-            members = tuple(m * n + v for m in members for v in s)
-        out.append(members)
-    return out
+    return _power_by_squaring((n, list(base_sets)), t, _set_product)[1]
 
 
 def mis_of_or_power(g: Graph, t: int) -> tuple[tuple[int, ...], ...]:
@@ -571,52 +586,33 @@ def mis_of_or_power(g: Graph, t: int) -> tuple[tuple[int, ...], ...]:
 def is_vertex_transitive(g: Graph) -> bool:
     """Brute-force orbit check: some automorphism sends vertex 0 to every vertex.
 
-    Backtracking over degree-compatible images; hard vertex cap keeps the
-    permutation search at desk scale.
+    Vertex-transitive graphs are regular, so any other graph is refused at
+    once.  For each image of vertex 0, a backtrack on the rows places
+    vertices 1, 2, ... in turn: vertex k may go to an unused w whose row
+    agrees with k's on every vertex already placed.  A hard vertex cap keeps
+    the permutation search at desk scale.
     """
     _require_nonempty(g)
     n = g.vertex_count
     if n > AUTOMORPHISM_VERTEX_CAP:
-        from .errors import ResourceBudgetError
-
         raise ResourceBudgetError("automorphism_vertices", AUTOMORPHISM_VERTEX_CAP)
-    adj = adjacency(g)
-    degrees = [len(adj[v]) for v in range(n)]
-    if len(set(degrees)) > 1:
-        return False  # vertex-transitive graphs are regular
-    if n == 1:
-        return True
-
-    def extend(image: list[int | None], used: set[int]) -> bool:
-        try:
-            i = image.index(None)
-        except ValueError:
-            return True
-        for w in range(n):
-            if w in used or degrees[w] != degrees[i]:
-                continue
-            ok = True
-            for j, wj in enumerate(image):
-                if wj is None or j == i:
-                    continue
-                if (j in adj[i]) != (wj in adj[w]):
-                    ok = False
-                    break
-            if ok:
-                image[i] = w
-                used.add(w)
-                if extend(image, used):
-                    return True
-                image[i] = None
-                used.remove(w)
+    rows = g.rows
+    if len(set(map(int.bit_count, rows))) > 1:
         return False
 
-    for target in range(1, n):
-        image: list[int | None] = [None] * n
-        image[0] = target
-        if not extend(image, {target}):
-            return False
-    return True
+    def extends(image: list[int]) -> bool:
+        k = len(image)
+        if k == n:
+            return True
+        for w in range(n):
+            if w not in image and all((rows[k] >> j & 1) == (rows[w] >> image[j] & 1) for j in range(k)):
+                image.append(w)
+                if extends(image):
+                    return True
+                image.pop()
+        return False
+
+    return all(extends([w]) for w in range(1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +701,6 @@ def associated_hypergraph(T, theta: Graph, t: int) -> Hypergraph:
     return Hypergraph(members, tuple(tuple(members[r] for r in _bits(m)) for m in masks))
 
 
-@lru_cache(maxsize=None)
 def _closed_power_rows(theta: Graph, t: int) -> tuple[int, ...]:
     """Closed-neighbourhood rows of the t-fold AND power of theta."""
     return tuple(row | 1 << v for v, row in enumerate(and_power(theta, t).rows))

@@ -22,6 +22,7 @@ from .errors import DomainError, ZeroleakError
 from .graphs import (
     Graph,
     _capped_power,
+    _power_by_squaring,
     _require_power,
     VertexSetFamily,
     first_edge_within,
@@ -223,12 +224,16 @@ class BoundsReport(FrozenValue):
             raise DomainError("bad_bounds", "tight flag must mirror lower == upper")
 
 
-def _require_source_rows(m: StochasticMapping, gamma: Graph) -> None:
-    expected = gamma.vertex_count ** m.t
-    if m.source_count != expected:
+def _require_source_rows(m: StochasticMapping, n: int) -> None:
+    """One row per length-t sequence over n symbols.  n**t is capped at the
+    row count's bit length, so a huge t is neither computed nor printed."""
+    t, rows = m.t, m.source_count
+    expected = _capped_power(n, t, rows)
+    if expected != rows:
+        if n > 1 and t > rows.bit_length():
+            expected = f"{n}**{t}"
         raise DomainError(
-            "dimension_mismatch",
-            f"mapping has {m.source_count} rows but the graph gives {expected} length-{m.t} sequences",
+            "dimension_mismatch", f"mapping has {rows} rows but the graph gives {expected} length-{t} sequences"
         )
 
 
@@ -238,7 +243,7 @@ def validate_mapping(m: StochasticMapping, gamma: Graph) -> ValidationReport:
     The witness, when present, is the first offense in codeword order, pairs
     scanned in ascending order inside each support.
     """
-    _require_source_rows(m, gamma)
+    _require_source_rows(m, gamma.vertex_count)
     product = or_power(gamma, m.t)
     for j, name in enumerate(m.codewords):
         pair = first_edge_within(product, m.supports[j])
@@ -250,6 +255,11 @@ def validate_mapping(m: StochasticMapping, gamma: Graph) -> ValidationReport:
 def maximal_leakage(m: StochasticMapping) -> LeakageValue:
     """Sum over codewords of the largest per-source probability, exactly."""
     return LeakageValue(Fraction(sum(map(max, zip(*m.counts))), m.denominator))
+
+
+def _kronecker(left, right) -> list[int]:
+    """The Kronecker product of two integer vectors, left-major."""
+    return [a * b for a in left for b in right]
 
 
 class OptimalLeakage(NamedTuple):
@@ -266,12 +276,13 @@ def optimal_leakage_t(gamma: Graph, t: int) -> OptimalLeakage:
     One LP is solved, `fractional_chromatic` on gamma, and its optimum is
     certified on the OR power exactly, with no LP on the power.  The primal
     is the set weights kappa tensored t times: each product set
-    S1 x ... x St of base sets with kappa > 0 gets the product of their
-    weights.  The dual is the fractional clique y tensored onto the
-    sequences.  Every maximal independent set of the power is a product of
-    base sets (`mis_of_or_power`), so these checks prove both optimal.  They
-    run in integers over one common denominator per side, and a failed check
-    raises `internal_error`:
+    S1 x ... x St of base sets, in `product_sets` order, gets the product of
+    their weights.  The dual is the fractional clique y tensored onto the
+    sequences; both are Kronecker powers by `_power_by_squaring`.  Every
+    maximal independent set of the power is a product of base sets
+    (`mis_of_or_power`), so these checks prove both optimal.  They run in
+    integers over one common denominator per side, and a failed check raises
+    `internal_error`:
 
     - the base weights are nonnegative;
     - every chosen product set is independent in the OR power;
@@ -299,10 +310,8 @@ def optimal_leakage_t(gamma: Graph, t: int) -> OptimalLeakage:
     if min(kappa) < 0 or min(y) < 0:
         raise uncertified("a base weight is negative")
     sets = product_sets(coloring.sets, n, t)
-    weights = [math.prod(combo) for combo in itertools.product(kappa, repeat=t)]
-    dual = [1]
-    for _ in range(t):
-        dual = [a * b for a in dual for b in y]
+    weights = _power_by_squaring(kappa, t, _kronecker)
+    dual = _power_by_squaring(y, t, _kronecker)
     primal_one, dual_one = kappa_scale**t, y_scale**t
 
     product = or_power(gamma, t)
@@ -432,7 +441,7 @@ def merge_codewords(m: StochasticMapping, y1: str, y2: str, gamma: Graph) -> Sto
             f"the merged codeword name {merged_name!r} is already taken",
             {"name": merged_name},
         )
-    _require_source_rows(m, gamma)
+    _require_source_rows(m, gamma.vertex_count)
     pair = first_edge_within(or_power(gamma, m.t), m.supports[j1] | m.supports[j2])
     if pair is not None:
         u, v = pair
@@ -654,11 +663,12 @@ def multi_approx_guess_bounds(gamma: Graph, theta: Graph, budget: GuessBudget) -
 
     Every maximal independent set of gamma's OR power is a product
     S1 x ... x St of base sets, and its trace family is the product of the
-    base sets' trace families, so the cap never builds the powers: it takes
-    the covering number once per tuple of distinct base families.  One
-    `mis_enumeration` meter serves every cap: each checks the size of the
-    product MIS family and spends the factors it builds, t per tuple, so a
-    long table budget cannot loop unmetered.
+    base sets' trace families, so the cap never builds the powers.
+    Permuting the coordinates gives an isomorphic trace hypergraph with the
+    same covering number, so the cap takes it once per multiset of t distinct
+    base families.  One `mis_enumeration` meter serves every cap: each checks
+    the size of the product MIS family and spends t units per ordered tuple
+    of distinct base families, so a long table budget cannot loop unmetered.
     """
     _require_same_vertices(gamma, theta)
     families = _base_trace_families(gamma, theta)
@@ -674,7 +684,7 @@ def multi_approx_guess_bounds(gamma: Graph, theta: Graph, budget: GuessBudget) -
         meter.check_size(size, "product MIS family")
         meter.spend(_capped_power(len(distinct), t, limit) * t)
         best = 0
-        for combo in itertools.product(distinct, repeat=t):
+        for combo in itertools.combinations_with_replacement(distinct, t):
             width, masks = product_traces(combo)
             best = max(best, min_cover_size((1 << width) - 1, masks, range(width), kf_cache))
         return best

@@ -22,8 +22,9 @@ from .errors import DomainError
 from .graphs import (
     Graph,
     _bits,
+    _capped_power,
     _closed_power_rows,
-    decode_index,
+    _power_by_squaring,
     first_edge_within,
     independence_number,
     mis_of_or_power,
@@ -32,6 +33,8 @@ from .graphs import (
 from .leakage import (
     GuessBudget,
     StochasticMapping,
+    _kronecker,
+    _require_source_rows,
     maximal_leakage,
     merge_codewords,
     validate_mapping,
@@ -126,33 +129,6 @@ def distribution_grid(n: int, r: int) -> DistributionGrid:
 # The guessing-advantage ratio
 # ---------------------------------------------------------------------------
 
-def _alphabet_size(m: StochasticMapping) -> int:
-    """Recover n with n**t = source_count; the mapping must cover a full power."""
-    total, t = m.source_count, m.t
-    # exact integer t-th root by bisection: the largest n with n**t <= total
-    lo, hi = 1, 1 << -(-total.bit_length() // t)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**t <= total:
-            lo = mid
-        else:
-            hi = mid - 1
-    if lo**t == total:
-        return lo
-    raise DomainError("dimension_mismatch", f"{total} rows is not a t={t} power of an alphabet size")
-
-
-def _sequence_weights(ks, t: int, n: int) -> list[int]:
-    """Product prior over sequences from integer symbol masses, unnormalized."""
-    weights = []
-    for x in range(n**t):
-        w = 1
-        for s in decode_index(x, t, n):
-            w *= ks[s]
-        weights.append(w)
-    return weights
-
-
 def _top_sum(values, g: int) -> int:
     return sum(sorted(values, reverse=True)[:g])
 
@@ -177,32 +153,36 @@ def _rho_from_ints(counts, d: int, fam: GuessFamily, weights) -> Fraction:
 
 
 def rho_fixed_px(m: StochasticMapping, px, fam: GuessFamily) -> Fraction:
-    """Posterior-over-prior guessing advantage at a full-support symbol prior."""
+    """Posterior-over-prior guessing advantage at a full-support symbol prior.
+
+    The alphabet size is the prior's length, and the mapping must have a row
+    for each of its length-t sequences.
+    """
     if fam.t != m.t:
         raise DomainError("dimension_mismatch", f"family is for t={fam.t}, mapping for t={m.t}")
-    n = _alphabet_size(m)
     probs = [Fraction(p) for p in px]
-    if len(probs) != n:
-        raise DomainError("dimension_mismatch", f"{len(probs)} prior entries for alphabet size {n}")
+    _require_source_rows(m, len(probs))
     if sum(probs) != 1:
         raise DomainError("bad_distribution", "prior must sum to 1")
     if any(p <= 0 for p in probs):
         raise DomainError("zero_mass_symbol", "prior must give every symbol positive mass")
     _, ks = _over_one_denominator(probs)
-    return _rho_from_ints(m.counts, m.denominator, fam, _sequence_weights(ks, m.t, n))
+    return _rho_from_ints(m.counts, m.denominator, fam, _power_by_squaring(ks, m.t, _kronecker))
 
 
 def worst_case_rho(m: StochasticMapping, fam: GuessFamily, grid: DistributionGrid) -> Fraction:
-    """Largest rho over the prior grid, boundary points included."""
+    """Largest rho over the prior grid, boundary points included.
+
+    The alphabet size is the grid's, and the mapping must have a row for
+    each of its length-t sequences.
+    """
     if fam.t != m.t:
         raise DomainError("dimension_mismatch", f"family is for t={fam.t}, mapping for t={m.t}")
-    n = _alphabet_size(m)
-    if grid.alphabet_size != n:
-        raise DomainError("dimension_mismatch", f"grid is over {grid.alphabet_size} symbols, alphabet has {n}")
+    _require_source_rows(m, grid.alphabet_size)
     best = None
     for px in grid.points:
         _, ks = _over_one_denominator(px)
-        value = _rho_from_ints(m.counts, m.denominator, fam, _sequence_weights(ks, m.t, n))
+        value = _rho_from_ints(m.counts, m.denominator, fam, _power_by_squaring(ks, m.t, _kronecker))
         if best is None or value > best:
             best = value
     return best
@@ -225,8 +205,9 @@ def generate_valid_mapping(
     if r < 1:
         raise DomainError("bad_grid", f"need r >= 1, got {r}")
     sets = mis_of_or_power(gamma, t)
+    meter = WorkMeter("scheme_units")
+    meter.check_size(_capped_power(gamma.vertex_count, t, meter.limit) * r, "random scheme")
     total = gamma.vertex_count**t
-    WorkMeter("scheme_units").check_size(total * r, "random scheme")
     copies = ("#1", "#2") if duplicate_codebook else ("",)
     names = []
     holders = [[] for _ in range(total)]
@@ -335,7 +316,9 @@ def verify_multi_guess_floor(
 
     At the uniform prior a g-guess adversary's advantage is at least
     (n/alpha)**t for every zero-error scheme.  Schemes are drawn with row
-    denominator r; the budget must be admissible at t.
+    denominator r; the budget must be admissible at t.  The guess family and
+    the uniform prior over the n**t sequences are built after the first
+    scheme, whose meters bound the sequences first.
     """
     n = gamma.vertex_count
     if n < 1 or r < 1:
@@ -351,12 +334,13 @@ def verify_multi_guess_floor(
         )
     floor = Fraction(n, alpha) ** t
     rng = random.Random(seed)
-    fam = GuessFamily.multi_guess(gamma, t, g)
-    uniform = [1] * (n**t)
-    worst = None
+    worst = fam = None
     bad_trial = None
     for trial in range(trials):
         m = generate_valid_mapping(gamma, t, r, rng)
+        if fam is None:
+            fam = GuessFamily.multi_guess(gamma, t, g)
+            uniform = [1] * m.source_count
         value = _rho_from_ints(m.counts, m.denominator, fam, uniform)
         if worst is None or value < worst:
             worst = value

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from zeroleak import Graph, Hypergraph, make_graph
+from zeroleak import Graph, Hypergraph, encode_symbols, make_graph, maximal_independent_sets
 
 
 def brute_mis(g: Graph) -> tuple[tuple[int, ...], ...]:
@@ -167,6 +167,14 @@ def brute_hypergraph_edges(T, theta: Graph, t: int) -> tuple[tuple[int, ...], ..
         if trace:
             traces.add(trace)
     return tuple(sorted(traces))
+
+
+def brute_product_sets(gamma: Graph, t: int):
+    """(factor tuple, sorted members) of each product of t maximal independent sets,
+    in `itertools.product` order."""
+    n = gamma.vertex_count
+    for combo in itertools.product(maximal_independent_sets(gamma), repeat=t):
+        yield combo, tuple(sorted(encode_symbols(s, n) for s in itertools.product(*combo)))
 
 
 def _compositions(total: int, parts: int):

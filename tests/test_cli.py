@@ -217,6 +217,16 @@ PINNED_SHA256 = [
         ("leakage-optimal", "--graph", "fixture:petersen", "--t", "2"),
         "6bbed7205cf346127b55d8231aec90face79dd2ffd615c33778e9799401289b9",
     ),
+    # recorded while the product sets and the tensored certificate walked
+    # every factor; an odd t takes the multiply step of the squaring loop
+    (
+        ("leakage-optimal", "--graph", "fixture:c7", "--t", "3"),
+        "09d81e5dc9769d44d4e3a29c4df803f94924287a663e8e76477d98540d41aae9",
+    ),
+    (
+        ("leakage-optimal", "--graph", "fixture:petersen", "--t", "3"),
+        "69ee553f4bd43d89b48ad160d25ef518d78c156499320223b816e54b30ad9c2b",
+    ),
     # recorded before the approximate-guess caps were built from product
     # trace families; {onesT} is an all-ones table budget of length T
     (
@@ -614,6 +624,31 @@ def test_optimal_witness_size_is_checked_before_it_is_built(capsysbinary):
 def test_power_length_is_metered_on_a_one_vertex_graph(capsysbinary):
     # every size is 1 here, so only counting the t factors can stop the loops
     code, out, err = run_main(capsysbinary, "leakage-optimal", "--graph", "fixture:e1", "--t", "100000000")
+    assert code == 2 and out == b""
+    assert json.loads(err)["error"]["detail"]["budget"] == "mis_enumeration"
+
+
+def test_a_long_power_of_one_vertex_answers(capsysbinary):
+    code, out, err = run_main(capsysbinary, "leakage-optimal", "--graph", "fixture:e1", "--t", "1000000")
+    assert code == 0 and err == b""
+    obj = json.loads(out)
+    assert obj["log2_of"] == "1/1" and obj["witness_matches"] is True
+
+
+def test_a_long_mapping_is_a_row_count_mismatch(capsysbinary, tmp_path):
+    # 2**20000 sequences against 3 rows: too many digits to print
+    rows = [["1/1", "0/1"], ["0/1", "1/1"], ["1/1", "0/1"]]
+    path = write_json(tmp_path, "long.json", {"t": 20000, "codewords": ["a", "b"], "rows": rows})
+    for args in (("leakage-eval",), ("merge", "a", "b")):
+        code, out, err = run_main(capsysbinary, args[0], "--graph", "fixture:k2", "--mapping", path, *args[1:])
+        assert code == 1 and out == b"", args
+        error = json.loads(err)["error"]
+        assert error["code"] == "dimension_mismatch"
+        assert error["message"] == "mapping has 3 rows but the graph gives 2**20000 length-20000 sequences"
+
+
+def test_a_long_floor_check_is_metered_before_its_prior(capsysbinary):
+    code, out, err = run_main(capsysbinary, "oracle", "multi-guess-floor", "--graph", "fixture:c5", "--t", "2000")
     assert code == 2 and out == b""
     assert json.loads(err)["error"]["detail"]["budget"] == "mis_enumeration"
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -24,8 +25,16 @@ from zeroleak import (
     or_product,
     resolve_fixture,
 )
-from zeroleak.graphs import first_edge_within, product_traces
-from helpers import all_graphs, brute_hypergraph_edges, brute_mis, connected_graphs, coordinate_product, k22
+from zeroleak.graphs import _power_by_squaring, first_edge_within, product_sets, product_traces
+from helpers import (
+    all_graphs,
+    brute_hypergraph_edges,
+    brute_mis,
+    brute_product_sets,
+    connected_graphs,
+    coordinate_product,
+    k22,
+)
 
 
 def test_make_graph_normalizes_edges():
@@ -265,6 +274,40 @@ def test_vertex_transitivity():
     assert not is_vertex_transitive(make_graph(4, [(0, 1), (0, 2), (0, 3)]))
 
 
+def _brute_vertex_transitive(g):
+    n = g.vertex_count
+    images = {
+        p[0]
+        for p in itertools.permutations(range(n))
+        if all(g.has_edge(p[u], p[v]) for u, v in g.edges)
+    }
+    return images == set(range(n))
+
+
+def _cycles(*lengths):
+    edges, start = [], 0
+    for k in lengths:
+        edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return make_graph(start, edges)
+
+
+def test_vertex_transitivity_matches_a_search_over_all_permutations():
+    for n in range(1, 6):
+        for g in all_graphs(n):
+            assert is_vertex_transitive(g) == _brute_vertex_transitive(g), g.edges
+    # regular but not vertex-transitive, then regular and vertex-transitive;
+    # in the 4-regular graph on 8 vertices vertex 0 reaches every vertex by
+    # maps that keep adjacency but are not one-to-one
+    four_regular = make_graph(8, [
+        (0, 1), (0, 2), (0, 3), (0, 6), (1, 2), (1, 4), (1, 5), (2, 3),
+        (2, 7), (3, 4), (3, 5), (4, 6), (4, 7), (5, 6), (5, 7), (6, 7),
+    ])
+    cases = ((_cycles(3, 4), False), (_cycles(3, 5), False), (four_regular, False), (_cycles(4, 4), True), (k22(), True))
+    for g, expected in cases:
+        assert is_vertex_transitive(g) == _brute_vertex_transitive(g) == expected, g.edges
+
+
 def test_vertex_transitivity_cap():
     ring = make_graph(11, [(i, (i + 1) % 11) for i in range(11)])
     with pytest.raises(ResourceBudgetError) as e:
@@ -374,6 +417,18 @@ def test_powers_by_squaring_match_the_left_fold():
                 assert power(g, t) == fold, (name, t)
                 if t < 5:
                     fold = product(fold, g)
+        sets = maximal_independent_sets(g)
+        for t in range(1, 6):
+            assert product_sets(sets, g.vertex_count, t) == [T for _, T in brute_product_sets(g, t)], (name, t)
+
+    def kronecker(a, b):
+        return [x * y for x in a for y in b]
+
+    for vector in ([1], [2, 3], [3, 0, 5, 7]):
+        fold = vector
+        for t in range(1, 6):
+            assert _power_by_squaring(vector, t, kronecker) == fold, (vector, t)
+            fold = kronecker(fold, vector)
 
 
 def test_product_guard_precedes_allocation():

@@ -15,7 +15,6 @@ from zeroleak import (
     StochasticMapping,
     approx_guess_bounds,
     b_fold_coloring_from_weights,
-    encode_symbols,
     fractional_chromatic,
     generate_valid_mapping,
     leakage_rate,
@@ -38,7 +37,8 @@ from zeroleak import (
 from zeroleak import leakage
 from zeroleak.fixtures import fixture_corpus
 from zeroleak.graphs import product_traces, trace_masks
-from helpers import brute_covering_number, brute_hypergraph_edges, k22
+from zeroleak.programs import min_cover_size
+from helpers import brute_covering_number, brute_hypergraph_edges, brute_product_sets, k22
 
 
 def test_leakage_value():
@@ -558,13 +558,6 @@ def test_multi_approx_with_real_exponential_room():
     assert table.lower.log2_of == 1
 
 
-def _product_sets(gamma, t):
-    """(factor tuple, sorted members) of each product of t maximal independent sets."""
-    n = gamma.vertex_count
-    for combo in itertools.product(maximal_independent_sets(gamma), repeat=t):
-        yield combo, tuple(sorted(encode_symbols(s, n) for s in itertools.product(*combo)))
-
-
 def test_product_traces_are_the_traces_of_each_product_set():
     cases = (("c5", "c5", (1, 2, 3)), ("fig1", "fig1_theta", (1, 2)), ("petersen", "petersen", (2,)))
     for gamma_name, theta_name, ts in cases:
@@ -572,7 +565,7 @@ def test_product_traces_are_the_traces_of_each_product_set():
         base = {S: (len(S), trace_masks(S, theta, 1)) for S in maximal_independent_sets(gamma)}
         for t in ts:
             seen = set()
-            for combo, T in _product_sets(gamma, t):
+            for combo, T in brute_product_sets(gamma, t):
                 seen.add(T)
                 assert product_traces([base[S] for S in combo]) == (len(T), trace_masks(T, theta, t))
             assert seen == set(mis_of_or_power(gamma, t))
@@ -594,12 +587,39 @@ def test_multi_approx_caps_are_the_brute_force_covering_numbers():
         caps = [
             max(
                 brute_covering_number(make_hypergraph(T, brute_hypergraph_edges(T, theta, t)))
-                for _, T in _product_sets(gamma, t)
+                for _, T in brute_product_sets(gamma, t)
             )
             for t in range(1, tmax + 1)
         ]
         multi_approx_guess_bounds(gamma, theta, GuessBudget.table(caps, growth=1))
         for t in range(1, tmax + 1):
+            over = caps[: t - 1] + [caps[t - 1] + 1]
+            with pytest.raises(DomainError) as e:
+                multi_approx_guess_bounds(gamma, theta, GuessBudget.table(over, growth=1))
+            assert e.value.code == "inadmissible_budget"
+
+
+def test_multi_approx_caps_take_one_search_per_multiset_of_base_families():
+    # permuting the coordinates of a product set permutes its trace family's
+    # ground set, so each ordering of a tuple has the cover of its sorted form
+    cases = (("c5", "c5"), ("c7", "c7"), ("petersen", "petersen"), ("fig1", "fig1_theta"))
+    for gamma_name, theta_name in cases:
+        gamma, theta = resolve_fixture(gamma_name), resolve_fixture(theta_name)
+        distinct = list(dict.fromkeys((len(S), trace_masks(S, theta, 1)) for S in maximal_independent_sets(gamma)))
+        kf_cache = {}
+
+        def cover(combo):
+            width, masks = product_traces(combo)
+            return min_cover_size((1 << width) - 1, masks, range(width), kf_cache)
+
+        caps = []
+        for t in (1, 2, 3):
+            covers = {combo: cover(combo) for combo in itertools.product(distinct, repeat=t)}
+            for combo, value in covers.items():
+                assert value == covers[tuple(sorted(combo, key=distinct.index))], (gamma_name, t)
+            caps.append(max(covers.values()))
+        multi_approx_guess_bounds(gamma, theta, GuessBudget.table(caps, growth=1))
+        for t in (1, 2, 3):
             over = caps[: t - 1] + [caps[t - 1] + 1]
             with pytest.raises(DomainError) as e:
                 multi_approx_guess_bounds(gamma, theta, GuessBudget.table(over, growth=1))

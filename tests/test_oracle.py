@@ -27,7 +27,6 @@ from zeroleak import (
 )
 from zeroleak.graphs import and_power, closed_neighborhood
 from zeroleak.programs import fractional_packing
-from zeroleak.oracle import _alphabet_size
 from zeroleak.rationals import format_ratio, parse_ratio
 from helpers import k22
 
@@ -210,6 +209,19 @@ def test_rho_input_validation():
     assert e.value.code == "dimension_mismatch"
 
 
+def test_rho_checks_a_long_mapping_without_its_power():
+    # 2**(10**9) sequences against 3 rows; the power is never computed
+    t = 10**9
+    m = make_mapping(t, ["y"], [["1/1"]] * 3)
+    fam = GuessFamily("singleton", t, 1, (frozenset({0}),))
+    with pytest.raises(DomainError) as e:
+        rho_fixed_px(m, ["1/2", "1/2"], fam)
+    assert e.value.code == "dimension_mismatch"
+    with pytest.raises(DomainError) as e:
+        worst_case_rho(m, fam, distribution_grid(2, 1))
+    assert e.value.code == "dimension_mismatch"
+
+
 def test_rho_is_at_least_one_on_random_schemes():
     rng = random.Random(5)
     for name in ("c5", "p3", "k3"):
@@ -373,20 +385,3 @@ def test_verify_mergeability_closure_collapses_edgeless_to_constant():
     assert report["witness"]["merges"] == 2  # one merge per trial: the two copies join
     with pytest.raises(DomainError):
         verify_mergeability_closure(e3, 1, trials=0)
-
-
-def test_alphabet_size_is_an_exact_root():
-    class Rows:
-        def __init__(self, source_count, t):
-            self.source_count, self.t = source_count, t
-
-    assert _alphabet_size(Rows(1, 3)) == 1
-    assert _alphabet_size(Rows(8, 3)) == 2
-    assert _alphabet_size(Rows(5**4, 4)) == 5
-    # too large for a float root
-    assert _alphabet_size(Rows(3**700, 700)) == 3
-    assert _alphabet_size(Rows((10**40 + 1) ** 9, 9)) == 10**40 + 1
-    for total, t in ((7, 3), (3**700 + 1, 700), ((10**40 + 1) ** 9 - 1, 9)):
-        with pytest.raises(DomainError) as e:
-            _alphabet_size(Rows(total, t))
-        assert e.value.code == "dimension_mismatch"
