@@ -14,6 +14,7 @@ pay for with `gettext` before reading one subcommand and a few options.
 from __future__ import annotations
 
 import functools
+import os
 import re
 import sys
 from types import SimpleNamespace
@@ -438,5 +439,22 @@ def main(argv=None) -> int:
         return exc.exit_code
 
 
+def run_and_exit() -> None:
+    """Process entry of `python -m zeroleak.cli` and the `zeroleak` script.
+
+    Runs `main()`, flushes stdout and stderr and ends the process with
+    `os._exit`, skipping the interpreter's teardown: freeing every object,
+    clearing the modules and the last collections, about 10 ms a call once
+    zeroleak is loaded.  Nothing is lost, since zeroleak registers no
+    `atexit` callback, starts no thread and closes `--out` inside `_emit`.
+    An exception from `main()` propagates through normal teardown; callers
+    in the same process use `main()`, which returns its code.
+    """
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run_and_exit()

@@ -71,8 +71,9 @@ class StochasticMapping(FrozenValue):
     equal.  Every mapping passes that full check except the result of
     `merge_codewords`, which is built by `_merged` from a checked mapping and
     the proof that a merge keeps it valid.  `rows` is the same matrix as
-    exact Fractions, and `supports` the sources of each codeword as
-    bitmasks, both derived on first use (a merge carries `supports` over).
+    exact Fractions, `supports` the sources of each codeword as bitmasks,
+    and `column_maxima` each codeword's largest count, all derived on first
+    use (a merge carries `supports` and any `column_maxima` over).
     """
 
     t: int
@@ -128,6 +129,11 @@ class StochasticMapping(FrozenValue):
         sources = range(len(self.counts))
         return tuple(vertex_mask(compress(sources, column)) for column in zip(*self.counts))
 
+    @cached_property
+    def column_maxima(self) -> tuple[int, ...]:
+        """Per codeword, its largest count over the sources."""
+        return tuple(map(max, zip(*self.counts)))
+
     def _merged(self, lo: int, hi: int, name: str) -> StochasticMapping:
         """This mapping with column hi added into column lo, renamed `name`, and hi deleted.
 
@@ -135,11 +141,13 @@ class StochasticMapping(FrozenValue):
         each new entry is the sum of two entries of a row that sums to the
         denominator, so it stays in [0, denominator].  The caller has checked
         that `name` is not already a codeword.  What is left is the reduction
-        by one gcd over all counts, and the supports: the OR of the two merged
-        masks.
+        by one gcd over all counts, and the derived columns: the supports get
+        the OR of the two merged masks, and column maxima already derived get
+        the merged column's maximum, all divided by the gcd, since dividing
+        every count by it divides each maximum.
         """
-        names, supports = self.codewords, self.supports
-        counts = tuple(row[:lo] + (row[lo] + row[hi],) + row[lo + 1 : hi] + row[hi + 1 :] for row in self.counts)
+        column = [row[lo] + row[hi] for row in self.counts]
+        counts = tuple(_spliced(row, lo, hi, c) for row, c in zip(self.counts, column))
         d = self.denominator
         g = math.gcd(d, *chain.from_iterable(counts))
         if g > 1:
@@ -148,12 +156,21 @@ class StochasticMapping(FrozenValue):
         merged = object.__new__(StochasticMapping)
         merged.__dict__.update(
             t=self.t,
-            codewords=names[:lo] + (name,) + names[lo + 1 : hi] + names[hi + 1 :],
+            codewords=_spliced(self.codewords, lo, hi, name),
             denominator=d,
             counts=counts,
-            supports=supports[:lo] + (supports[lo] | supports[hi],) + supports[lo + 1 : hi] + supports[hi + 1 :],
+            supports=_spliced(self.supports, lo, hi, self.supports[lo] | self.supports[hi]),
         )
+        maxima = self.__dict__.get("column_maxima")
+        if maxima is not None:
+            maxima = _spliced(maxima, lo, hi, max(column))
+            merged.__dict__["column_maxima"] = maxima if g == 1 else tuple(map(g.__rfloordiv__, maxima))
         return merged
+
+
+def _spliced(items: tuple, lo: int, hi: int, item) -> tuple:
+    """`items` with entry lo replaced by `item` and entry hi deleted, lo < hi."""
+    return items[:lo] + (item,) + items[lo + 1 : hi] + items[hi + 1 :]
 
 
 def _raise_first_fault(counts, width: int, d: int) -> None:
@@ -254,7 +271,7 @@ def validate_mapping(m: StochasticMapping, gamma: Graph) -> ValidationReport:
 
 def maximal_leakage(m: StochasticMapping) -> LeakageValue:
     """Sum over codewords of the largest per-source probability, exactly."""
-    return LeakageValue(Fraction(sum(map(max, zip(*m.counts))), m.denominator))
+    return LeakageValue(Fraction(sum(m.column_maxima), m.denominator))
 
 
 def _kronecker(left, right) -> list[int]:

@@ -316,15 +316,19 @@ def verify_multi_guess_floor(
 
     At the uniform prior a g-guess adversary's advantage is at least
     (n/alpha)**t for every zero-error scheme.  Schemes are drawn with row
-    denominator r; the budget must be admissible at t.  The guess family and
-    the uniform prior over the n**t sequences are built after the first
-    scheme, whose meters bound the sequences first.
+    denominator r; the budget must be admissible at t.  The first scheme is
+    drawn before anything else of size exponential in t: its meters bound
+    the n**t sequences and the alpha**t independent ones, so a long t is
+    refused before the guess count, the floor, the guess family or the
+    uniform prior is built.
     """
     n = gamma.vertex_count
     if n < 1 or r < 1:
         raise DomainError("bad_grid", f"need n >= 1 and r >= 1, got n={n}, r={r}")
     _check_trials(trials)
     alpha = independence_number(gamma)
+    rng = random.Random(seed)
+    m = generate_valid_mapping(gamma, t, r, rng)
     g = budget.guesses(t)
     if g > alpha**t:
         raise DomainError(
@@ -333,14 +337,13 @@ def verify_multi_guess_floor(
             {"alpha": alpha, "t": t},
         )
     floor = Fraction(n, alpha) ** t
-    rng = random.Random(seed)
-    worst = fam = None
+    fam = GuessFamily.multi_guess(gamma, t, g)
+    uniform = [1] * m.source_count
+    worst = None
     bad_trial = None
     for trial in range(trials):
-        m = generate_valid_mapping(gamma, t, r, rng)
-        if fam is None:
-            fam = GuessFamily.multi_guess(gamma, t, g)
-            uniform = [1] * m.source_count
+        if trial:
+            m = generate_valid_mapping(gamma, t, r, rng)
         value = _rho_from_ints(m.counts, m.denominator, fam, uniform)
         if worst is None or value < worst:
             worst = value

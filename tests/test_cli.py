@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -22,6 +23,8 @@ def run_main(capsysbinary, *args):
 
 def run_proc(*args, env_extra=None):
     env = dict(os.environ)
+    # buffered, as a pipe is by default, so that an unflushed write is lost
+    env.pop("PYTHONUNBUFFERED", None)
     if env_extra:
         env.update(env_extra)
     done = subprocess.run(
@@ -653,6 +656,17 @@ def test_a_long_floor_check_is_metered_before_its_prior(capsysbinary):
     assert json.loads(err)["error"]["detail"]["budget"] == "mis_enumeration"
 
 
+def test_a_long_exponential_floor_check_is_metered_before_its_guess_count(capsysbinary):
+    # 2**t guesses, alpha**t and the floor (5/2)**t are each millions of bits here
+    code, out, err = run_main(
+        capsysbinary, "oracle", "multi-guess-floor", "--graph", "fixture:c5", "--budget", "exp:2/1", "--t", "30000000"
+    )
+    assert code == 2 and out == b""
+    error = json.loads(err)["error"]
+    assert error["code"] == "budget_exceeded"
+    assert error["detail"]["budget"] == "mis_enumeration"
+
+
 def test_a_long_table_budget_is_metered_on_a_one_vertex_graph(capsysbinary, tmp_path):
     # each cap builds a t-factor product, so a table of T entries costs about
     # T**2 / 2 factors; one meter across the caps stops it within the budget
@@ -740,6 +754,70 @@ def test_subprocess_runs_are_byte_identical():
         second = run_proc(*cmd)
         assert first == second
         assert first[0] == 0
+
+
+# The process entry ends with os._exit once stdout and stderr are flushed, so
+# these run the CLI as a child and compare every byte with main() in-process.
+
+
+def test_a_large_piped_answer_arrives_whole(capsysbinary, tmp_path):
+    k17 = write_json(tmp_path, "k17.json", {"n": 17, "edges": [[u, v] for u in range(17) for v in range(u + 1, 17)]})
+    args = ("product", "--graph", k17, "--graph", k17, "--op", "or")
+    code, out, err = run_proc(*args)
+    assert (code, err) == (0, b"") and len(out) > 1 << 20
+    assert (code, out, err) == run_main(capsysbinary, *args)
+    target = tmp_path / "product.json"
+    assert run_proc(*args, "--out", str(target)) == (0, b"", b"")
+    assert target.read_bytes() == out
+
+
+def test_error_exits_write_their_whole_error(capsysbinary, tmp_path):
+    calls = [
+        ("alpha", "--graph", str(tmp_path / "missing.json")),
+        ("leakage-optimal", "--graph", "fixture:c5", "--t", "5"),
+    ]
+    for expected, args in zip((1, 2), calls):
+        code, out, err = run_proc(*args)
+        assert (code, out) == (expected, b""), args
+        assert json.loads(err)["error"]
+        assert (code, out, err) == run_main(capsysbinary, *args)
+
+
+def test_help_text_arrives_whole(capsysbinary):
+    for args in (("--help",), ("chif", "--help")):
+        code, out, err = run_proc(*args)
+        assert (code, err) == (0, b"") and out.endswith(b"\n"), args
+        assert (code, out, err) == run_main(capsysbinary, *args)
+
+
+def test_an_exception_in_main_still_tears_down_normally():
+    probe = "import zeroleak.cli as cli; cli.main = lambda: 1 // 0; cli.run_and_exit()"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True)
+    assert done.returncode == 1 and done.stdout == b""
+    assert done.stderr.startswith(b"Traceback") and b"ZeroDivisionError" in done.stderr
+
+
+def test_the_cli_registers_no_exit_callback_and_starts_no_thread():
+    # os._exit skips atexit callbacks and does not wait for threads, so none may exist
+    probe = (
+        "import atexit, io, json, sys, threading; registered = []; "
+        "atexit.register = lambda *a, **k: registered.append(repr(a)); "
+        "import zeroleak.cli as cli; sys.stdout = io.TextIOWrapper(io.BytesIO()); "
+        "codes = [cli.main(a) for a in (['chif', '--graph', 'fixture:c5'], ['oracle', '--graph', 'fixture:c5', "
+        "'--trials', '2', '--grid', '2'], ['alpha'])]; sys.stdout = sys.__stdout__; "
+        "print(json.dumps([codes, registered, threading.active_count()]))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, check=True)
+    assert json.loads(done.stdout) == [[0, 0, 1], [], 1]
+
+
+def test_the_console_script_is_the_module_entry():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as f:
+        scripts = re.findall(r'^zeroleak = "zeroleak\.cli:(\w+)"$', f.read(), re.M)
+    with open(os.path.join(root, "src", "zeroleak", "cli.py"), encoding="utf-8") as f:
+        module_entry = re.findall(r'^if __name__ == "__main__":\n    (\w+)\(\)\n\Z', f.read(), re.M)
+    assert scripts == module_entry == ["run_and_exit"]
 
 
 def test_alpha_on_a_deep_edgeless_graph(capsysbinary, tmp_path):

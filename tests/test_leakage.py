@@ -395,6 +395,42 @@ def test_merged_columns_reduce_the_denominator():
     merged = merge_codewords(m, "y", "z", resolve_fixture("e1"))
     assert (merged.denominator, merged.counts) == (1, ((1,),))
     assert merged.rows == ((Fraction(1),),)
+    m = make_mapping(1, ["x", "y", "z"], [["1/4", "1/4", "1/2"], ["1/2", "0/1", "1/2"]])
+    assert m.column_maxima == (2, 1, 2)
+    merged = merge_codewords(m, "x", "y", resolve_fixture("e2"))
+    assert (merged.denominator, merged.column_maxima) == (2, (1, 1))
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.sampled_from(["c5", "p3", "fig1", "e2"]),
+    st.integers(min_value=1, max_value=2),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_merges_carry_the_column_maxima(name, t, r, derive_first, seed):
+    g = resolve_fixture(name)
+    m = generate_valid_mapping(g, t, r, random.Random(seed), True)
+    if derive_first:
+        maximal_leakage(m)
+    merged_once = False
+    while True:
+        for a, b in itertools.combinations(m.codewords, 2):
+            try:
+                merged = merge_codewords(m, a, b, g)
+            except DomainError as e:
+                assert e.code == "not_mergeable"
+                continue
+            break
+        else:
+            break
+        # only maxima derived before the merge are carried over
+        assert ("column_maxima" in merged.__dict__) == (derive_first or merged_once)
+        fresh = make_mapping(t, merged.codewords, merged.rows)
+        assert merged.column_maxima == fresh.column_maxima == tuple(map(max, zip(*fresh.counts)))
+        assert maximal_leakage(merged) == maximal_leakage(fresh)
+        m, merged_once = merged, True
 
 
 def test_guess_budget_values():
