@@ -415,8 +415,11 @@ def _parse(argv: list[str]):
 
 def _emit(data: bytes, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "wb") as f:
-            f.write(data)
+        try:
+            with open(out_path, "wb") as f:
+                f.write(data)
+        except OSError as exc:
+            raise DomainError("unwritable_file", f"cannot write output file {out_path}: {exc.strerror or exc}")
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()

@@ -5,8 +5,10 @@ program: maximize `c·x` over x >= 0 subject to rows `A x <= b`, where every
 entry of c, A and b is an int and b >= 0.  The all-slack basis is then
 feasible, so no phase 1 is needed; every program this package builds is
 posed in that form, and a covering program is read off as the dual of its
-packing form.  The rows go into the tableau as they are, with no scaling,
-and the tableau holds one common denominator `d` for all of its entries.
+packing form.  The rows go into an integer dictionary as they are, with no
+scaling: it keeps only the nonbasic columns, so a program of m rows and n
+columns takes m × (n + 1) integers and no slack identity, and every entry
+shares one common denominator `d` (Chvátal 1983; Avis's lrs, 2000).
 Pivots are fraction-free (Edmonds 1967; Bareiss 1968), so every division
 by `d` is exact, and there is no floating point anywhere in the
 optimization path: optima are exact and runs are deterministic.  Only the
@@ -98,90 +100,75 @@ def solve_lp(program: LinearProgram) -> LpSolution:
     Every program this package builds is bounded, so an unbounded one raises
     `internal_error`.  The optimum is certified before it is returned: the
     primal against x >= 0 and every row, the duals read from the final
-    tableau against the program itself.  Each pivot is charged to the
+    dictionary against the program itself.  Each pivot is charged to the
     `lp_pivots` work budget.
-    """
-    ncols = len(program.objective)
-    nrows = len(program.constraints)
 
-    # Row k gets its slack column ncols + k, and its right-hand side last.
-    tableau = [[*coeffs] + [0] * nrows + [rhs] for coeffs, rhs in program.constraints]
-    for k, row in enumerate(tableau):
-        row[ncols + k] = 1
-    # Minimize -objective; the slacks cost nothing, so on the all-slack basis
-    # the reduced costs are the costs themselves.
-    obj = [-c for c in program.objective] + [0] * (nrows + 1)
-    tab = _Tableau(tableau, list(range(ncols, ncols + nrows)), obj, WorkMeter("lp_pivots"))
-    tab.run()
-
-    d = tab.d
-    assignment = [Fraction(0)] * ncols
-    for row, b in zip(tableau, tab.basis):
-        if b < ncols:
-            assignment[b] = Fraction(row[-1], d)
-    # Row k's slack has reduced cost d times the row's price.
-    duals = tuple(Fraction(tab.obj[ncols + k], d) for k in range(nrows))
-    value = sum((c * x for c, x in zip(program.objective, assignment)), Fraction(0))
-    _validate(program, assignment, value, duals)
-    return LpSolution(value, tuple(assignment), duals)
-
-
-class _Tableau:
-    """Integer simplex tableau sharing one common denominator `d` > 0.
-
-    `rows` (with the right-hand side last) and the objective row `obj` hold
-    `d` times the entries and reduced costs of the usual simplex tableau.
+    The dictionary keeps `d` times the entries of the nonbasic columns only:
+    `rows[i]` for the variable `basis[i]`, with its right-hand side last,
+    and `obj` for the reduced costs.  Column j holds the variable
+    `nonbasic[j]`; variable k < n is structural and n + i is row i's slack.
     Every entry is, up to sign, a minor of the integer input, which is why
-    the division in `pivot` is exact.
+    the division in `_eliminate` is exact.
     """
-
-    def __init__(self, rows: list[list[int]], basis: list[int], obj: list[int], meter: WorkMeter):
-        self.rows = rows
-        self.basis = basis
-        self.obj = obj
-        self.meter = meter
-        self.d = 1
-
-    def run(self) -> None:
-        """Bland's rule until optimal; a column no row bounds raises `internal_error`."""
-        rows, basis = self.rows, self.basis
-        while True:
-            obj = self.obj
-            entering = next((j for j in range(len(obj) - 1) if obj[j] < 0), -1)
-            if entering < 0:
-                return
-            leave = -1
-            for i, row in enumerate(rows):
-                a = row[entering]
-                if a > 0:
-                    if leave < 0:
-                        leave = i
-                        continue
-                    # compare row[-1] / a with the best ratio by cross-multiplying
-                    best = rows[leave]
-                    lhs, rhs = row[-1] * best[entering], best[-1] * a
-                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                        leave = i
-            if leave < 0:
-                raise ZeroleakError("internal_error", f"the program is unbounded along column {entering}")
-            self.pivot(leave, entering)
-
-    def pivot(self, r: int, e: int) -> None:
-        self.meter.spend(1)
-        rows, d = self.rows, self.d
+    n = len(program.objective)
+    m = len(program.constraints)
+    rows = [[*coeffs, rhs] for coeffs, rhs in program.constraints]
+    # Minimize -objective; on the all-slack basis the reduced costs are the costs.
+    obj = [-c for c in program.objective] + [0]
+    nonbasic = list(range(n))
+    basis = list(range(n, n + m))
+    meter = WorkMeter("lp_pivots")
+    d = 1
+    while True:
+        # Bland's rule: the lowest variable label among the improving columns
+        e = min((j for j in range(n) if obj[j] < 0), key=nonbasic.__getitem__, default=-1)
+        if e < 0:
+            break
+        r = -1
+        for i, row in enumerate(rows):
+            a = row[e]
+            if a > 0:
+                if r < 0:
+                    r = i
+                    continue
+                # compare row[-1] / a with the best ratio by cross-multiplying
+                best = rows[r]
+                lhs, rhs = row[-1] * best[e], best[-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[r]):
+                    r = i
+        if r < 0:
+            raise ZeroleakError("internal_error", f"the program is unbounded along variable {nonbasic[e]}")
+        meter.spend(1)
         prow = rows[r]
         p = prow[e]
         for i, row in enumerate(rows):
             if i != r:
                 rows[i] = _eliminate(row, prow, p, e, d)
-        self.obj = _eliminate(self.obj, prow, p, e, d)
-        self.basis[r] = e
-        self.d = p
+        obj = _eliminate(obj, prow, p, e, d)
+        # column e now holds the leaving variable, d times its unit column before
+        prow[e] = d
+        nonbasic[e], basis[r] = basis[r], nonbasic[e]
+        d = p
+
+    assignment = [Fraction(0)] * n
+    for row, b in zip(rows, basis):
+        if b < n:
+            assignment[b] = Fraction(row[-1], d)
+    # A nonbasic slack's reduced cost is d times its row's price; a basic one's is 0.
+    duals = [Fraction(0)] * m
+    for j, b in enumerate(nonbasic):
+        if b >= n:
+            duals[b - n] = Fraction(obj[j], d)
+    value = sum((c * x for c, x in zip(program.objective, assignment)), Fraction(0))
+    _validate(program, assignment, value, tuple(duals))
+    return LpSolution(value, tuple(assignment), tuple(duals))
 
 
 def _eliminate(row: list[int], prow: list[int], p: int, e: int, d: int) -> list[int]:
-    """One fraction-free elimination step: (p * row - row[e] * prow) / d, exactly."""
+    """One fraction-free step, (p * row - row[e] * prow) / d exactly, then -row[e] in column e."""
     f = row[e]
     if f == 0:
         return row if p == d else [x * p // d for x in row]
-    return [(x * p - f * y) // d for x, y in zip(row, prow)]
+    out = [(x * p - f * y) // d for x, y in zip(row, prow)]
+    out[e] = -f
+    return out

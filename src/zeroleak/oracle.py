@@ -166,8 +166,7 @@ def rho_fixed_px(m: StochasticMapping, px, fam: GuessFamily) -> Fraction:
         raise DomainError("bad_distribution", "prior must sum to 1")
     if any(p <= 0 for p in probs):
         raise DomainError("zero_mass_symbol", "prior must give every symbol positive mass")
-    _, ks = _over_one_denominator(probs)
-    return _rho_from_ints(m.counts, m.denominator, fam, _power_by_squaring(ks, m.t, _kronecker))
+    return _rho_at_symbol_prior(m, fam, probs)
 
 
 def worst_case_rho(m: StochasticMapping, fam: GuessFamily, grid: DistributionGrid) -> Fraction:
@@ -179,13 +178,13 @@ def worst_case_rho(m: StochasticMapping, fam: GuessFamily, grid: DistributionGri
     if fam.t != m.t:
         raise DomainError("dimension_mismatch", f"family is for t={fam.t}, mapping for t={m.t}")
     _require_source_rows(m, grid.alphabet_size)
-    best = None
-    for px in grid.points:
-        _, ks = _over_one_denominator(px)
-        value = _rho_from_ints(m.counts, m.denominator, fam, _power_by_squaring(ks, m.t, _kronecker))
-        if best is None or value > best:
-            best = value
-    return best
+    return max(_rho_at_symbol_prior(m, fam, px) for px in grid.points)
+
+
+def _rho_at_symbol_prior(m: StochasticMapping, fam: GuessFamily, px) -> Fraction:
+    """rho at the i.i.d. sequence prior of the symbol prior `px`, in integers."""
+    _, ks = _over_one_denominator(px)
+    return _rho_from_ints(m.counts, m.denominator, fam, _power_by_squaring(ks, m.t, _kronecker))
 
 
 def generate_valid_mapping(
@@ -304,6 +303,15 @@ def _check_trials(trials: int) -> None:
     WorkMeter("oracle_trials").check_size(trials, "oracle trials")
 
 
+def _decimal_digits(x: int) -> int:
+    """The number of decimal digits of x >= 1, without writing x out."""
+    # 30102999 / 10**8 is just under log10(2), so 10**k <= x from the start
+    k = (x.bit_length() - 1) * 30102999 // 10**8
+    while 10 ** (k + 1) <= x:
+        k += 1
+    return k + 1
+
+
 def verify_multi_guess_floor(
     gamma: Graph,
     budget: GuessBudget,
@@ -331,9 +339,12 @@ def verify_multi_guess_floor(
     m = generate_valid_mapping(gamma, t, r, rng)
     g = budget.guesses(t)
     if g > alpha**t:
+        # a guess count of over 100 digits is named by its length, which
+        # also keeps it clear of the int-string conversion limit
+        shown = f"={g}" if g < 10**100 else f", a {_decimal_digits(g)}-digit number,"
         raise DomainError(
             "inadmissible_budget",
-            f"g(t)={g} exceeds the {alpha}**{t} independent vertices available",
+            f"g(t){shown} exceeds the {alpha}**{t} independent vertices available",
             {"alpha": alpha, "t": t},
         )
     floor = Fraction(n, alpha) ** t

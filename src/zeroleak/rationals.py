@@ -2,9 +2,10 @@
 
 `fractions.Fraction` carries the rationals of the public results: it is
 always reduced, keeps a positive denominator, and never rounds.  The hot
-inner representations are fraction-free instead: the simplex tableau and
-stochastic mappings hold integers over one common denominator and hand out
-Fractions only at their edges.  This module adds the wire format ("p/q"
+inner representations are fraction-free instead: the simplex dictionary
+(its nonbasic columns only, with no slack identity) and stochastic mappings
+hold integers over one common denominator and hand out Fractions only at
+their edges.  This module adds the wire format ("p/q"
 strings), the display-only bits rendering, and the one step that puts a list
 of fractions over their least common denominator.
 """

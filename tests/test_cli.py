@@ -10,7 +10,7 @@ import jsonschema
 import pytest
 
 from zeroleak import generate_valid_mapping, resolve_fixture
-from zeroleak.cli import SCHEMA_BY_SUBCOMMAND, load_schema, main
+from zeroleak.cli import _SUBCOMMANDS, SCHEMA_BY_SUBCOMMAND, load_schema, main
 from zeroleak.jsonio import canonical_json_bytes, graph_to_obj, mapping_from_obj, mapping_to_obj
 from helpers import brute_mis
 
@@ -596,6 +596,43 @@ def test_out_matches_stdout(capsysbinary, tmp_path):
     assert open(out_path, "rb").read() == stdout
 
 
+def _answering_argvs(tmp_path):
+    """One argv per subcommand, after its name, that answers on exit 0."""
+    two = {"t": 1, "codewords": ["a", "b"], "rows": [["1/1", "0/1"], ["0/1", "1/1"], ["1/1", "0/1"]]}
+    mapping = write_json(tmp_path, "two.json", two)
+    return {
+        "info": ["--graph", "fixture:c5"],
+        "product": ["--graph", "fixture:k2", "--graph", "fixture:k2", "--op", "or"],
+        "chif": ["--graph", "fixture:c5"],
+        "alpha": ["--graph", "fixture:c5"],
+        "mis": ["--graph", "fixture:c5"],
+        "leakage-eval": ["--graph", "fixture:e3", "--mapping", mapping],
+        "leakage-optimal": ["--graph", "fixture:c5"],
+        "scheme": ["--graph", "fixture:fig1"],
+        "merge": ["--graph", "fixture:e3", "--mapping", mapping, "a", "b"],
+        "bounds-multi": ["--graph", "fixture:c5", "--budget", "const:1"],
+        "bounds-approx": ["--graph", "fixture:c5", "--theta", "fixture:c5"],
+        "bounds-multi-approx": ["--graph", "fixture:c5", "--theta", "fixture:c5", "--budget", "const:1"],
+        "oracle": ["--graph", "fixture:c5", "duality"],
+    }
+
+
+def test_every_subcommand_reports_an_unwritable_out_as_a_json_error(capsysbinary, tmp_path):
+    argvs = _answering_argvs(tmp_path)
+    # a new subcommand fails here until it has an argv above
+    assert argvs.keys() == _SUBCOMMANDS.keys()
+    for name, argv in argvs.items():
+        code, out, err = run_main(capsysbinary, name, *argv)
+        assert code == 0 and out and err == b"", name
+        # a file in a missing directory, then a directory
+        for target in (tmp_path / "missing" / "x.json", tmp_path):
+            code, out, err = run_main(capsysbinary, name, *argv, "--out", str(target))
+            assert (code, out) == (1, b""), (name, target)
+            obj = json.loads(err)
+            jsonschema.validate(obj, load_schema("error"))
+            assert obj["error"]["code"] == "unwritable_file", (name, target)
+
+
 def test_fixture_files_are_canonical():
     from importlib import resources
 
@@ -665,6 +702,17 @@ def test_a_long_exponential_floor_check_is_metered_before_its_guess_count(capsys
     error = json.loads(err)["error"]
     assert error["code"] == "budget_exceeded"
     assert error["detail"]["budget"] == "mis_enumeration"
+
+
+def test_a_guess_count_past_the_conversion_limit_is_a_json_error(capsysbinary):
+    # 3**100000 guesses, 47,713 digits: the message gives the digit count
+    code, out, err = run_main(
+        capsysbinary, "oracle", "multi-guess-floor", "--graph", "fixture:c5", "--budget", "poly:100000", "--t", "3"
+    )
+    assert code == 1 and out == b""
+    error = json.loads(err)["error"]
+    assert error["code"] == "inadmissible_budget"
+    assert error["message"] == "g(t), a 47713-digit number, exceeds the 2**3 independent vertices available"
 
 
 def test_a_long_table_budget_is_metered_on_a_one_vertex_graph(capsysbinary, tmp_path):

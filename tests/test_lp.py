@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,30 @@ def test_unbounded():
     with pytest.raises(ZeroleakError) as e:
         solve_lp(LinearProgram((1, 0), (((0, 1), 1),)))
     assert e.value.code == "internal_error"
+
+
+def test_unbounded_names_the_variable_not_the_column():
+    # max 2x + y s.t. 2x <= 3, 2x - y <= 0: x enters on the second row, and
+    # then that row's slack, variable 3, improves with no row to bound it
+    with pytest.raises(ZeroleakError, match="unbounded along variable 3$") as e:
+        solve_lp(LinearProgram((2, 1), (((2, 0), 3), ((2, -1), 0))))
+    assert e.value.code == "internal_error"
+
+
+def test_the_dictionary_holds_no_slack_identity():
+    # 3,000 rows of 3 columns: 3,000 x 4 integers, where a slack column per
+    # row would take 3,000 x 3,004 (about 72 MB of list slots alone)
+    program = LinearProgram(
+        (1, 1, 1), tuple(((i % 7 + 1, i * 3 % 5 + 1, i * 5 % 11 + 1), 100 + i) for i in range(3000))
+    )
+    tracemalloc.start()
+    try:
+        sol = solve_lp(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.value == Fraction(319, 15)
+    assert peak < 5 * 2**20
 
 
 def test_boxed_variables():

@@ -26,6 +26,7 @@ from zeroleak import (
     worst_case_rho,
 )
 from zeroleak.graphs import and_power, closed_neighborhood
+from zeroleak.oracle import _decimal_digits
 from zeroleak.programs import fractional_packing
 from zeroleak.rationals import format_ratio, parse_ratio
 from helpers import k22
@@ -366,6 +367,29 @@ def test_verify_multi_guess_floor_rejects():
     with pytest.raises(DomainError) as e:
         verify_multi_guess_floor(c5, GuessBudget.constant(1), 1, 4, trials=0)
     assert e.value.code == "bad_trials"
+
+
+@pytest.mark.parametrize(
+    "count, shown",
+    [
+        (3, "g(t)=3 exceeds"),
+        (10**99, f"g(t)={10**99} exceeds"),
+        (10**100, "g(t), a 101-digit number, exceeds"),
+    ],
+    ids=["short", "100_digits", "101_digits"],
+)
+def test_floor_check_names_a_long_guess_count_by_its_digits(count, shown):
+    # a count of up to 100 digits is written out, a longer one by its length
+    with pytest.raises(DomainError) as e:
+        verify_multi_guess_floor(resolve_fixture("c5"), GuessBudget.constant(count), 1, 4)
+    assert e.value.code == "inadmissible_budget"
+    assert e.value.message == f"{shown} the 2**1 independent vertices available"
+
+
+def test_decimal_digits_at_every_power_of_ten():
+    for k in range(1, 1200):
+        for x in (10**k - 1, 10**k, 10**k + 1):
+            assert _decimal_digits(x) == len(str(x))
 
 
 def test_verify_mergeability_closure():

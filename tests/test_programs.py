@@ -125,11 +125,17 @@ def test_chromatic_of_the_petersen_or_square_fits_a_small_budget(monkeypatch):
         (lambda: fractional_packing(resolve_fixture("petersen")), 11, Fraction(5, 2)),
         (lambda: fractional_covering(make_hypergraph(range(7), [(i, (i + 1) % 7) for i in range(7)])),
          7, Fraction(7, 2)),
+        (lambda: fractional_chromatic(or_power(resolve_fixture("c5"), 3)), 218, Fraction(125, 8)),
+        (lambda: maximin_eta(or_power(resolve_fixture("c5"), 3)), 495, Fraction(8, 125)),
+        (lambda: maximin_eta(or_power(resolve_fixture("c7"), 2)), 157, Fraction(9, 49)),
     ],
-    ids=["chif_petersen_or_square", "maximin_c5_or_square", "packing_petersen", "covering_c7_edges"],
+    ids=[
+        "chif_petersen_or_square", "maximin_c5_or_square", "packing_petersen", "covering_c7_edges",
+        "chif_c5_or_cube", "maximin_c5_or_cube", "maximin_c7_or_square",
+    ],
 )
 def test_each_program_spends_its_pinned_pivots(monkeypatch, solve, pivots, value):
-    # Bland's rule on the same integer tableau takes the same pivots; a
+    # Bland's rule on the same integer program takes the same pivots; a
     # change to how a program is built or solved that moves them shows here
     spent = Counter()
     spend = budget.WorkMeter.spend
