@@ -35,7 +35,6 @@ from .jsonio import (
     bounds_to_obj,
     canonical_json_bytes,
     graph_from_obj,
-    graph_to_obj,
     load_json_file,
     mapping_from_obj,
     mapping_to_obj,
@@ -97,12 +96,12 @@ def _cmd_info(args) -> dict:
     }
 
 
-def _cmd_product(args) -> dict:
+def _cmd_product(args) -> Graph:
     if len(args.graph) < 2:
         raise DomainError("usage", "product needs --graph given at least twice")
     graphs = [load_graph(spec) for spec in args.graph]
     combine = or_product if args.op == "or" else and_product
-    return graph_to_obj(functools.reduce(combine, graphs))
+    return functools.reduce(combine, graphs)
 
 
 def _cmd_chif(args) -> dict:

@@ -58,7 +58,7 @@ class Graph(FrozenValue):
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The edges (u, v), u < v, read off the rows."""
-        return frozenset(edge_pairs(self))
+        return frozenset((a, a + 1 + k) for a, row in enumerate(self.rows) for k in _bits(row >> (a + 1)))
 
     @property
     def edge_count(self) -> int:
@@ -111,14 +111,25 @@ def _graph_from_rows(n: int, rows: tuple[int, ...], labels=None) -> Graph:
 _NO_PAIR = object()
 
 
+class MalformedPair(DomainError):
+    """A vertex pair that does not unpack into two exact ints (`bad_edge`)."""
+
+    def __init__(self, pair):
+        super().__init__("bad_edge", f"edge endpoints must be integers, got {pair!r}")
+        self.pair = pair
+
+
 def make_graph(n: int, edges, labels=None) -> Graph:
     """Build a Graph from any iterable of vertex pairs; (u,v) and (v,u) collapse.
 
     Each pair is checked and ORed into the rows in one walk, so the first
-    bad pair in iteration order is the one reported.  The size of the rows
-    is checked against a `graph_rows` meter before they are allocated:
-    n * ceil(n / 64) words when there is an edge, and n words, one per row,
-    when there is none.
+    bad pair in iteration order is the one reported: a pair that does not
+    unpack into two exact ints (`MalformedPair`), then a self-loop, then an
+    endpoint out of range.  The size of the rows is checked against a
+    `graph_rows` meter before they are allocated, after the first pair's
+    shape: n * ceil(n / 64) words when there is an edge, and n words, one
+    per row, when there is none.  With an edge, a table of the n single-bit
+    masks, no larger than dense rows, replaces a shift per endpoint.
     """
     _require_vertex_count(n)
     pairs = iter(edges)
@@ -128,27 +139,42 @@ def make_graph(n: int, edges, labels=None) -> Graph:
         meter.check_size(n, "graph rows")
         rows = (0,) * n
     else:
+        _check_shape(first)
         meter.check_size(_row_words(n), "graph rows")
+        bit = [1 << v for v in range(n)]
         grid = [0] * n
         for pair in itertools.chain((first,), pairs):
-            u, v = pair
-            if not isinstance(u, int) or not isinstance(v, int):
-                raise DomainError("bad_edge", f"edge endpoints must be integers, got {pair!r}")
-            if u > v:
-                u, v = v, u
-            if u == v:
-                raise DomainError("self_loop", f"self-loop at vertex {u}")
-            if u < 0 or v >= n:
-                raise DomainError("bad_edge", f"edge {(u, v)!r} out of range or not normalized for n={n}")
-            grid[u] |= 1 << v
-            grid[v] |= 1 << u
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise MalformedPair(pair) from None
+            if type(u) is not int or type(v) is not int or u == v or not (0 <= u < n and 0 <= v < n):
+                raise _pair_error(pair, u, v, n)
+            grid[u] |= bit[v]
+            grid[v] |= bit[u]
         rows = tuple(grid)
     return _graph_from_rows(n, rows, tuple(labels) if labels is not None else None)
 
 
-def edge_pairs(g: Graph) -> list[tuple[int, int]]:
-    """Every edge (a, b), a < b, in ascending order, read off the rows."""
-    return [(a, a + 1 + k) for a, row in enumerate(g.rows) for k in _bits(row >> (a + 1))]
+def _check_shape(pair) -> None:
+    """Raise MalformedPair unless the pair unpacks into two exact ints."""
+    try:
+        u, v = pair
+    except (TypeError, ValueError):
+        raise MalformedPair(pair) from None
+    if type(u) is not int or type(v) is not int:
+        raise MalformedPair(pair)
+
+
+def _pair_error(pair, u, v, n: int) -> DomainError:
+    """Why `make_graph` refuses the pair (u, v), in the order its docstring gives."""
+    if type(u) is not int or type(v) is not int:
+        return MalformedPair(pair)
+    if u > v:
+        u, v = v, u
+    if u == v:
+        return DomainError("self_loop", f"self-loop at vertex {u}")
+    return DomainError("bad_edge", f"edge {(u, v)!r} out of range or not normalized for n={n}")
 
 
 @lru_cache(maxsize=None)
@@ -443,10 +469,12 @@ def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
     an explicit stack of (R, P, X) bitmasks, so no depth of search can reach
     the interpreter's recursion limit.  The pivot is the lowest-index vertex
     of P | X with the most complement-neighbours inside P (Tomita, Tanaka &
-    Takahashi 2006), and branches run in ascending vertex order, so output
-    and work are deterministic.  Each search node costs one mis_enumeration
-    unit; the complement rows' size is checked against the same budget
-    before any row is built.
+    Takahashi 2006), found in one scan of the bits of P | X that keeps the
+    first maximum, and branches run in ascending vertex order, so output and
+    work are deterministic.  The branches' children are pushed as the branch
+    bits are walked, with no per-node vertex list.  Each search node costs
+    one mis_enumeration unit; the complement rows' size is checked against
+    the same budget before any row is built.
     """
     _require_nonempty(g)
     n = g.vertex_count
@@ -463,16 +491,23 @@ def maximal_independent_sets(g: Graph) -> tuple[tuple[int, ...], ...]:
             if not x:
                 found.append(tuple(_bits(r)))
             continue
-        candidates = _bits(p | x)
-        scores = [(p & co[u]).bit_count() for u in candidates]
-        pivot = candidates[scores.index(max(scores))]
-        children = []
-        for v in _bits(p & ~co[pivot]):
+        best, rest = -1, p | x
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            score = (p & co[u]).bit_count()
+            if score > best:
+                best, pivot = score, u
+            rest ^= low
+        # branch v moves the branch vertices below it from P to X; pushing
+        # from the highest v down pops the branches in ascending order
+        lower = p & ~co[pivot]
+        while lower:
+            v = lower.bit_length() - 1
             bit = 1 << v
-            children.append((r | bit, p & co[v], x & co[v]))
-            p ^= bit
-            x |= bit
-        stack.extend(reversed(children))
+            lower ^= bit
+            co_v = co[v]
+            stack.append((r | bit, (p ^ lower) & co_v, (x | lower) & co_v))
     return tuple(sorted(found))
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from json.encoder import encode_basestring
 
 from .errors import DomainError
-from .graphs import Graph, edge_pairs, make_graph
+from .graphs import Graph, MalformedPair, make_graph
 from .leakage import BoundsReport, GuessBudget, StochasticMapping, make_mapping
 from .rationals import bits_display, format_ratio, parse_ratio
 
@@ -27,10 +27,13 @@ def canonical_json_bytes(obj) -> bytes:
     Here dicts with str keys, lists and tuples are laid out directly,
     strings go through json's C string encoder, a list of strings is
     joined from it, and a list of ints or of int lists is written by the
-    compact C encoder and re-indented by fixed string replacements.  Every
-    other value (floats, bools, None, dicts with other keys) is written by
-    `json.dumps` itself and indented to its depth: its output holds no raw
-    newline but the ones it lays out.
+    compact C encoder and re-indented by fixed string replacements.  A
+    `Graph` value, at any depth, is written as its graph file object
+    {"edges": [[a, b], ...], "labels": [...], "n": n} (labels only when it
+    has them) straight from its rows.  Every other value (floats, bools,
+    None, dicts with other keys) is written by `json.dumps` itself and
+    indented to its depth: its output holds no raw newline but the ones it
+    lays out.
     """
     return (_encode(obj, "\n") + "\n").encode("utf-8")
 
@@ -47,6 +50,8 @@ def _encode(o, newline: str) -> str:
         return encode_basestring(o)
     if kind is int:
         return int.__repr__(o)
+    if kind is Graph:
+        return _graph(o, newline)
     inner = newline + "  "
     if kind is dict and all(type(k) is str for k in o):
         if not o:
@@ -78,13 +83,54 @@ def _int_lists(o, newline: str, inner: str) -> str:
     return "[" + inner + body + newline + "]"
 
 
+# bytes 0 and 1 for the ASCII digits of `bin`, the selectors of itertools.compress
+_SELECTORS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _graph(g: Graph, newline: str) -> str:
+    """g as the object {"edges": [[a, b], ...], "labels": [...], "n": n} would be
+    laid out, "labels" only when g has them, from g's rows.
+
+    Pair (a, b) is laid out as a head naming a, then b's name; the pairs,
+    in ascending order, are one str.join with the text that closes a pair
+    and opens the next.  A row with fewer than one neighbour in 16 of the
+    bits above a is read bit by bit; a denser row is one str.join of the
+    names that itertools.compress picks by the row's binary digits, in time
+    linear in the bits above a up to its last neighbour.
+    """
+    inner = newline + "  "
+    pair = inner + "  "
+    lead, mid, between = "[" + pair + "  ", "," + pair + "  ", pair + "]," + pair
+    names = list(map(str, range(g.vertex_count)))
+    pairs = []
+    for a, row in enumerate(g.rows):
+        above = row >> (a + 1)
+        if not above:
+            continue
+        head = lead + names[a] + mid
+        width = above.bit_length()
+        if above.bit_count() * 16 < width:
+            while above:
+                low = above & -above
+                pairs.append(head + names[a + low.bit_length()])
+                above ^= low
+        else:
+            digits = bin(above)[:1:-1].encode().translate(_SELECTORS)
+            pairs.append(head + (between + head).join(compress(names[a + 1:a + 1 + width], digits)))
+    edges = "[" + pair + between.join(pairs) + pair + "]" + inner + "]" if pairs else "[]"
+    labels = "" if g.labels is None else '"labels": ' + _encode(g.labels, inner) + "," + inner
+    return "{" + inner + '"edges": ' + edges + "," + inner + labels + '"n": ' + str(g.vertex_count) + newline + "}"
+
+
 def load_json_file(path: str, what: str):
     try:
         with open(path, "r", encoding="utf-8") as f:
             return json.load(f)
     except OSError as exc:
         raise DomainError("unreadable_file", f"cannot read {what} file {path}: {exc.strerror or exc}")
-    except ValueError as exc:  # bad JSON or UTF-8, or an integer past the int-string conversion limit
+    # bad JSON or UTF-8, an integer past the int-string conversion limit, or
+    # arrays and objects nested past the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
         raise DomainError("bad_json", f"{what} file {path} is not valid JSON: {exc}")
 
 
@@ -99,13 +145,6 @@ def _require_keys(obj, required: set[str], optional: set[str], what: str, code: 
         raise DomainError(code, f"{what} has unknown keys: {', '.join(sorted(unknown))}")
 
 
-def graph_to_obj(g: Graph) -> dict:
-    obj: dict = {"n": g.vertex_count, "edges": list(map(list, edge_pairs(g)))}
-    if g.labels is not None:
-        obj["labels"] = list(g.labels)
-    return obj
-
-
 def graph_from_obj(obj) -> Graph:
     _require_keys(obj, {"n", "edges"}, {"labels"}, "graph", "bad_graph_json")
     n = obj["n"]
@@ -118,14 +157,12 @@ def graph_from_obj(obj) -> Graph:
     if labels is not None:
         if not isinstance(labels, list) or not all(isinstance(s, str) for s in labels):
             raise DomainError("bad_graph_json", '"labels" must be a list of strings')
-    # each edge's types are checked as make_graph's walk reaches it
-    return make_graph(n, map(_json_pair, edges), labels)
-
-
-def _json_pair(e):
-    if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
-        raise DomainError("bad_graph_json", f"edge {e!r} must be a pair of integers")
-    return e
+    # make_graph's walk checks each entry as it reaches it; decoded JSON
+    # unpacks into two ints only from a list of two ints
+    try:
+        return make_graph(n, edges, labels)
+    except MalformedPair as exc:
+        raise DomainError("bad_graph_json", f"edge {exc.pair!r} must be a pair of integers") from None
 
 
 def mapping_to_obj(m: StochasticMapping) -> dict:

@@ -562,7 +562,8 @@ def _budget_fits(budget: GuessBudget, beta: Fraction, cap_at: Callable[[int], in
     cap_at(t) >= ceil(beta**t) and cap_at never decreases.  Table budgets are
     checked entry by entry against the exact cap; a constant budget only needs
     the first cap; polynomial and exponential budgets are screened against the
-    growth floor.
+    growth floor, the polynomial one by `_exceeds`, so a huge degree builds no
+    power whose size alone decides.
     """
     if budget.kind == "constant":
         return budget.count <= cap_at(1)
@@ -576,13 +577,45 @@ def _budget_fits(budget: GuessBudget, beta: Fraction, cap_at: Callable[[int], in
         p, q, d = beta.numerator, beta.denominator, budget.degree
         t = 1
         while True:
-            if t**d * q**t > p**t:
+            if _exceeds(((t, d), (q, t)), ((p, t),)):  # t**d * q**t > p**t
                 return False
             # once per-step growth of t**d dips under beta, induction closes it
-            if (t + 1) ** d * q <= p * t**d:
+            if not _exceeds(((t + 1, d), (q, 1)), ((p, 1), (t, d))):  # (t+1)**d * q <= p * t**d
                 return True
             t += 1
     return all(g <= cap_at(t) for t, g in enumerate(budget.values, start=1))
+
+
+def _exceeds(left, right) -> bool:
+    """Whether the product of base**exp over left's (base, exp) pairs exceeds
+    right's, for bases >= 1 and exponents >= 0.
+
+    The two products' bit lengths are bounded first; the exact powers are
+    built only when the bounds overlap, so a huge exponent costs nothing
+    when the sizes alone decide.
+    """
+    (left_lo, left_hi), (right_lo, right_hi) = _bit_length_bounds(left), _bit_length_bounds(right)
+    if left_lo > right_hi:
+        return True
+    if left_hi < right_lo:
+        return False
+    return math.prod(b**e for b, e in left) > math.prod(b**e for b, e in right)
+
+
+def _bit_length_bounds(factors) -> tuple[int, int]:
+    """Least and greatest bit length of the product of base**exp over factors.
+
+    A base of b bits raised to e > 0 has (b - 1) * e + 1 to b * e bits, and a
+    product of k numbers has up to k - 1 bits fewer than their sum.
+    """
+    lo = hi = 0
+    for base, exp in factors:
+        if base == 1 or exp == 0:
+            lo, hi = lo + 1, hi + 1
+        else:
+            b = base.bit_length()
+            lo, hi = lo + (b - 1) * exp + 1, hi + b * exp
+    return lo - len(factors) + 1, hi
 
 
 def _require_same_vertices(gamma: Graph, theta: Graph) -> None:

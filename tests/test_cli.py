@@ -5,13 +5,14 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
 
 from zeroleak import generate_valid_mapping, resolve_fixture
 from zeroleak.cli import _SUBCOMMANDS, SCHEMA_BY_SUBCOMMAND, load_schema, main
-from zeroleak.jsonio import canonical_json_bytes, graph_to_obj, mapping_from_obj, mapping_to_obj
+from zeroleak.jsonio import canonical_json_bytes, mapping_from_obj, mapping_to_obj
 from helpers import brute_mis
 
 
@@ -520,6 +521,62 @@ def test_unreadable_and_malformed_files(capsysbinary, tmp_path):
     assert json.loads(err)["error"]["code"] == "bad_graph_json"
 
 
+_MALFORMED_GRAPHS = [
+    # (edges, n, code, message); the first bad entry in file order is named
+    ([[0, 1], 5], 3, "bad_graph_json", "edge 5 must be a pair of integers"),
+    ([[0, 1, 2]], 3, "bad_graph_json", "edge [0, 1, 2] must be a pair of integers"),
+    ([[0]], 3, "bad_graph_json", "edge [0] must be a pair of integers"),
+    ([["0", 1]], 3, "bad_graph_json", "edge ['0', 1] must be a pair of integers"),
+    ([{"a": 0, "b": 1}], 3, "bad_graph_json", "edge {'a': 0, 'b': 1} must be a pair of integers"),
+    ([[0, True]], 3, "bad_graph_json", "edge [0, True] must be a pair of integers"),
+    ([True], 3, "bad_graph_json", "edge True must be a pair of integers"),
+    ([[0, 1.0]], 3, "bad_graph_json", "edge [0, 1.0] must be a pair of integers"),
+    ([[0, 1], [2, 2]], 3, "self_loop", "self-loop at vertex 2"),
+    ([[-1, -1]], 3, "self_loop", "self-loop at vertex -1"),
+    ([[0, 3]], 3, "bad_edge", "edge (0, 3) out of range or not normalized for n=3"),
+    ([[7, 1]], 3, "bad_edge", "edge (1, 7) out of range or not normalized for n=3"),
+    ([[-1, 2]], 3, "bad_edge", "edge (-1, 2) out of range or not normalized for n=3"),
+    ([[0, 1], [0, 5], [1.5, 2]], 3, "bad_edge", "edge (0, 5) out of range or not normalized for n=3"),
+    ([[0, 1], [1.5, 2], [0, 5]], 3, "bad_graph_json", "edge [1.5, 2] must be a pair of integers"),
+    ([[1, 1], [0, 5]], 3, "self_loop", "self-loop at vertex 1"),
+    ([[0, 5], [1, 1]], 3, "bad_edge", "edge (0, 5) out of range or not normalized for n=3"),
+    # the first entry's shape is checked before the rows' size, its range after
+    ([[0, True], [0, 1]], 10**6, "bad_graph_json", "edge [0, True] must be a pair of integers"),
+    ([[0, 1], [0, True]], 10**6, "budget_exceeded",
+     "graph rows needs 15625000000 units, over the graph_rows budget of 1048576"),
+    ([[0, 10**7]], 10**6, "budget_exceeded",
+     "graph rows needs 15625000000 units, over the graph_rows budget of 1048576"),
+]
+
+
+@pytest.mark.parametrize("edges, n, code, message", _MALFORMED_GRAPHS)
+def test_malformed_graph_files(capsysbinary, monkeypatch, tmp_path, edges, n, code, message):
+    monkeypatch.delenv("ZEROLEAK_BUDGET", raising=False)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"n": n, "edges": edges}))
+    for argv in (("info", "--graph", str(path)), ("product", "--op", "or", "--graph", "fixture:k2", "--graph", str(path))):
+        exit_code, out, err = run_main(capsysbinary, *argv)
+        assert (exit_code, out) == (2 if code == "budget_exceeded" else 1, b"")
+        error = json.loads(err)["error"]
+        assert (error["code"], error["message"]) == (code, message)
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("info", "--graph", "PATH"), "graph"),
+    (("bounds-approx", "--graph", "fixture:c5", "--theta", "PATH"), "graph"),
+    (("leakage-eval", "--graph", "fixture:c5", "--mapping", "PATH"), "mapping"),
+    (("bounds-multi", "--graph", "fixture:c5", "--budget", "table:PATH"), "budget table"),
+])
+def test_deeply_nested_json_is_a_json_error(capsysbinary, tmp_path, argv, what):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_main(capsysbinary, *(a.replace("PATH", str(path)) for a in argv))
+    assert (code, out) == (1, b"")
+    error = json.loads(err)["error"]
+    assert error["code"] == "bad_json"
+    assert error["message"].startswith(f"{what} file {path} is not valid JSON: ")
+
+
 def test_oracle_default_checks(capsysbinary):
     code, out, _ = run_main(
         capsysbinary,
@@ -639,7 +696,7 @@ def test_fixture_files_are_canonical():
     for name in ("fig1", "fig1_theta", "petersen"):
         raw = resources.files("zeroleak.fixtures").joinpath(f"{name}.json").read_bytes()
         g = resolve_fixture(name)
-        assert canonical_json_bytes(graph_to_obj(g)) == raw
+        assert canonical_json_bytes(g) == raw
 
 
 def test_budget_exceeded_exit_code():
@@ -713,6 +770,15 @@ def test_a_guess_count_past_the_conversion_limit_is_a_json_error(capsysbinary):
     error = json.loads(err)["error"]
     assert error["code"] == "inadmissible_budget"
     assert error["message"] == "g(t), a 47713-digit number, exceeds the 2**3 independent vertices available"
+
+
+def test_a_huge_polynomial_degree_is_screened_by_size(capsysbinary):
+    # 2**(10**9) against alpha**t: bit lengths decide without building the power
+    started = time.perf_counter()
+    code, out, err = run_main(capsysbinary, "bounds-multi", "--graph", "fixture:c5", "--budget", "poly:1000000000")
+    assert time.perf_counter() - started < 5
+    assert (code, out) == (1, b"")
+    assert json.loads(err)["error"]["code"] == "inadmissible_budget"
 
 
 def test_a_long_table_budget_is_metered_on_a_one_vertex_graph(capsysbinary, tmp_path):

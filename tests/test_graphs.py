@@ -76,6 +76,11 @@ def test_make_graph_rejects_bad_input():
     with pytest.raises(DomainError) as e:
         make_graph(2, [(1, 1)])
     assert e.value.code == "self_loop"
+    # endpoints are exact ints, and a pair unpacks into two of them
+    for pair in ((0, True), (0, 1.0), (0, 1, 1), 5):
+        with pytest.raises(DomainError) as e:
+            make_graph(2, [(0, 1), pair])
+        assert (e.value.code, e.value.message) == ("bad_edge", f"edge endpoints must be integers, got {pair!r}")
     with pytest.raises(DomainError) as e:
         make_graph(2, [], labels=("a",))
     assert e.value.code == "bad_labels"

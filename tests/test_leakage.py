@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -465,6 +466,31 @@ def test_guess_budget_sigma():
     with pytest.raises(DomainError) as e:
         GuessBudget.table((1, 2)).sigma_is_zero()
     assert e.value.code == "undeclared_growth"
+
+
+def _exact_polynomial_screen(p, q, d):
+    # the polynomial screen with every power built exactly
+    t = 1
+    while True:
+        if t**d * q**t > p**t:
+            return False
+        if (t + 1) ** d * q <= p * t**d:
+            return True
+        t += 1
+
+
+def test_the_polynomial_screen_equals_the_exact_loop():
+    for p in range(1, 17):
+        for q in range(1, 7):
+            beta = Fraction(p, q)
+            for d in range(9):
+                exact = d == 0 or (beta > 1 and _exact_polynomial_screen(beta.numerator, beta.denominator, d))
+                assert leakage._budget_fits(GuessBudget.polynomial(d), beta, None) == exact, (p, q, d)
+    rng = random.Random(3)
+    for _ in range(2000):
+        sides = [[(rng.randint(1, 9), rng.randint(0, 12)) for _ in range(rng.randint(1, 3))] for _ in range(2)]
+        left, right = (math.prod(b**e for b, e in side) for side in sides)
+        assert leakage._exceeds(*sides) == (left > right), sides
 
 
 def test_multi_guess_bounds_exponential_budget():

@@ -1,8 +1,9 @@
+import itertools
 import json
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zeroleak import (
     GuessFamily,
@@ -23,7 +24,6 @@ from zeroleak import (
 from zeroleak.jsonio import (
     canonical_json_bytes,
     graph_from_obj,
-    graph_to_obj,
     mapping_from_obj,
     mapping_to_obj,
 )
@@ -175,7 +175,7 @@ def test_the_resumed_pair_scan_equals_a_full_scan(g, t, r, seed):
 
 @given(graphs())
 def test_graph_json_roundtrip(g):
-    obj = json.loads(canonical_json_bytes(graph_to_obj(g)))
+    obj = json.loads(canonical_json_bytes(g))
     assert graph_from_obj(obj) == g
 
 
@@ -188,13 +188,42 @@ def test_mapping_json_roundtrip(g, seed):
 
 @given(graphs())
 def test_canonical_json_is_stable(g):
-    first = canonical_json_bytes(graph_to_obj(g))
-    second = canonical_json_bytes(graph_to_obj(graph_from_obj(json.loads(first))))
+    first = canonical_json_bytes(g)
+    second = canonical_json_bytes(graph_from_obj(json.loads(first)))
     assert first == second
 
 
 def _stdlib_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+@st.composite
+def _graphs_to_write(draw):
+    """Graphs on 0-40 vertices at a drawn edge density, labelled or not."""
+    n = draw(st.integers(0, 40))
+    density = draw(st.sampled_from([0.0, 0.03, 0.1, 0.5, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+    labels = draw(st.none() | st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True))
+    return make_graph(n, edges, labels)
+
+
+def _nest(value, path):
+    """value inside dicts (str keys) and lists, outermost first."""
+    for key in reversed(path):
+        value = [1, value, "x"] if key is None else {key: value, "z": [[0, 1]]}
+    return value
+
+
+@given(_graphs_to_write(), st.lists(st.none() | st.sampled_from(["a", "graph", "é"]), max_size=3))
+@example(make_graph(40, [(0, 39), (0, 20), (1, 38), (2, 3)]), [])  # sparse rows, far neighbours
+@example(make_graph(40, list(itertools.combinations(range(40), 2)), [f"é{v}" for v in range(40)]), ["graph", None])
+@example(make_graph(33, [(0, v) for v in range(1, 33, 2)] + [(1, 32)]), [None, None, None])  # one dense row
+def test_canonical_json_bytes_of_a_graph_are_the_stdlib_bytes(g, path):
+    obj = {"n": g.vertex_count, "edges": [[a, b] for a, b in sorted(g.edges)]}
+    if g.labels is not None:
+        obj["labels"] = list(g.labels)
+    assert canonical_json_bytes(_nest(g, path)) == _stdlib_bytes(_nest(obj, path))
 
 
 _ints = st.one_of(st.integers(-5, 5), st.integers(), st.integers(-(10**40), 10**40))
