@@ -1,4 +1,31 @@
-"""Exact-arithmetic leakage analysis for zero-error source coding over confusion graphs."""
+"""Exact-arithmetic leakage analysis for zero-error source coding over confusion graphs.
+
+The graph layer loads with the package.  `rationals`, `lp`, `programs`,
+`leakage` and `oracle` are registered lazily: each is in `sys.modules` and
+bound here from the start, but its body compiles and runs only when one of
+its attributes is first read, so a graph-only command (`alpha`, `info`,
+`mis`, `product`) never compiles them.  Their public names resolve through
+`__getattr__` on first use.
+"""
+
+import importlib.util
+import sys
+
+
+def _register_lazily(name: str):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Registered before the eager imports below, which import some of them.  In
+# dependency order, so the search in `__getattr__` loads only modules that
+# the one holding the name imports anyway (and the small `rationals`).
+_LAZY = tuple(map(_register_lazily, ("rationals", "lp", "programs", "leakage", "oracle")))
+rationals, lp, programs, leakage, oracle = _LAZY
 
 from .budget import DEFAULT_ENUMERATION_BUDGET, WorkMeter, enumeration_budget
 from .errors import DomainError, ResourceBudgetError, ZeroleakError
@@ -24,46 +51,6 @@ from .graphs import (
     or_power,
     or_product,
 )
-from .leakage import (
-    BoundsReport,
-    FoldedColoring,
-    GuessBudget,
-    LeakageValue,
-    OptimalLeakage,
-    StochasticMapping,
-    ValidationReport,
-    approx_guess_bounds,
-    b_fold_coloring_from_weights,
-    leakage_rate,
-    make_mapping,
-    maximal_leakage,
-    merge_codewords,
-    multi_approx_guess_bounds,
-    multi_guess_bounds,
-    optimal_leakage_t,
-    optimal_scalar_mapping,
-    validate_mapping,
-)
-from .oracle import (
-    DistributionGrid,
-    GuessFamily,
-    distribution_grid,
-    generate_valid_mapping,
-    rho_fixed_px,
-    verify_eta_duality,
-    verify_mergeability_closure,
-    verify_multi_guess_floor,
-    verify_packing_reciprocity,
-    worst_case_rho,
-)
-from .programs import (
-    covering_number,
-    fractional_chromatic,
-    fractional_covering,
-    fractional_packing,
-    maximin_eta,
-)
-from .rationals import bits_display, format_ratio, parse_ratio
 
 __version__ = "0.1.0"
 
@@ -132,3 +119,13 @@ __all__ = [
     "verify_packing_reciprocity",
     "worst_case_rho",
 ]
+
+
+def __getattr__(name: str):
+    """A public name of a lazy module, loading the modules searched."""
+    if name in __all__:
+        for module in _LAZY:
+            if hasattr(module, name):
+                globals()[name] = value = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

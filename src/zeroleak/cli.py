@@ -19,6 +19,7 @@ import re
 import sys
 from types import SimpleNamespace
 
+from . import leakage, oracle, programs, rationals
 from .budget import AUTOMORPHISM_VERTEX_CAP
 from .errors import DomainError, ZeroleakError
 from .fixtures import resolve_fixture
@@ -40,26 +41,6 @@ from .jsonio import (
     mapping_to_obj,
     parse_budget_spec,
 )
-from .leakage import (
-    GuessBudget,
-    approx_guess_bounds,
-    maximal_leakage,
-    merge_codewords,
-    multi_approx_guess_bounds,
-    multi_guess_bounds,
-    optimal_leakage_t,
-    optimal_scalar_mapping,
-    validate_mapping,
-)
-from .oracle import (
-    distribution_grid,
-    verify_eta_duality,
-    verify_mergeability_closure,
-    verify_multi_guess_floor,
-    verify_packing_reciprocity,
-)
-from .programs import fractional_chromatic
-from .rationals import bits_display, format_ratio
 
 ORACLE_CHECKS = ("duality", "packing", "multi-guess-floor", "merge-closure")
 
@@ -79,7 +60,7 @@ def load_graph(spec: str) -> Graph:
 
 
 def _value_obj(value) -> dict:
-    return {"log2_of": format_ratio(value), "bits": bits_display(value)}
+    return {"log2_of": rationals.format_ratio(value), "bits": rationals.bits_display(value)}
 
 
 def _cmd_info(args) -> dict:
@@ -105,8 +86,8 @@ def _cmd_product(args) -> Graph:
 
 
 def _cmd_chif(args) -> dict:
-    value = fractional_chromatic(load_graph(args.graph)).value
-    return {"chi_f": format_ratio(value), "bits": bits_display(value)}
+    value = programs.fractional_chromatic(load_graph(args.graph)).value
+    return {"chi_f": rationals.format_ratio(value), "bits": rationals.bits_display(value)}
 
 
 def _cmd_alpha(args) -> dict:
@@ -121,7 +102,7 @@ def _cmd_mis(args) -> dict:
 def _cmd_leakage_eval(args) -> dict:
     g = load_graph(args.graph)
     m = mapping_from_obj(load_json_file(args.mapping, "mapping"))
-    report = validate_mapping(m, g)
+    report = leakage.validate_mapping(m, g)
     if not report:
         name, u, v = report.witness
         raise DomainError(
@@ -129,42 +110,42 @@ def _cmd_leakage_eval(args) -> dict:
             f"codeword {name!r} covers confusable sources {u} and {v}",
             {"codeword": name, "u": u, "v": v},
         )
-    return _value_obj(maximal_leakage(m).log2_of)
+    return _value_obj(leakage.maximal_leakage(m).log2_of)
 
 
 def _cmd_leakage_optimal(args) -> dict:
-    result = optimal_leakage_t(load_graph(args.graph), args.t)
+    result = leakage.optimal_leakage_t(load_graph(args.graph), args.t)
     return {
         "t": result.t,
-        "log2_of": format_ratio(result.value.log2_of),
+        "log2_of": rationals.format_ratio(result.value.log2_of),
         "bits": result.value.bits,
         "witness": mapping_to_obj(result.witness),
-        "witness_log2_of": format_ratio(result.witness_value.log2_of),
+        "witness_log2_of": rationals.format_ratio(result.witness_value.log2_of),
         "witness_matches": result.matches,
     }
 
 
 def _cmd_scheme(args) -> dict:
-    return mapping_to_obj(optimal_scalar_mapping(load_graph(args.graph)))
+    return mapping_to_obj(leakage.optimal_scalar_mapping(load_graph(args.graph)))
 
 
 def _cmd_merge(args) -> dict:
     g = load_graph(args.graph)
     m = mapping_from_obj(load_json_file(args.mapping, "mapping"))
-    return mapping_to_obj(merge_codewords(m, args.y1, args.y2, g))
+    return mapping_to_obj(leakage.merge_codewords(m, args.y1, args.y2, g))
 
 
 def _cmd_bounds_multi(args) -> dict:
-    return bounds_to_obj(multi_guess_bounds(load_graph(args.graph), parse_budget_spec(args.budget)))
+    return bounds_to_obj(leakage.multi_guess_bounds(load_graph(args.graph), parse_budget_spec(args.budget)))
 
 
 def _cmd_bounds_approx(args) -> dict:
-    return bounds_to_obj(approx_guess_bounds(load_graph(args.graph), load_graph(args.theta)))
+    return bounds_to_obj(leakage.approx_guess_bounds(load_graph(args.graph), load_graph(args.theta)))
 
 
 def _cmd_bounds_multi_approx(args) -> dict:
     return bounds_to_obj(
-        multi_approx_guess_bounds(
+        leakage.multi_approx_guess_bounds(
             load_graph(args.graph), load_graph(args.theta), parse_budget_spec(args.budget)
         )
     )
@@ -176,7 +157,7 @@ def _cmd_oracle(args) -> dict:
             raise DomainError("usage", f"unknown check {check!r}; choose from: {', '.join(ORACLE_CHECKS)}")
     gamma = load_graph(args.graph) if args.graph else None
     theta = load_graph(args.theta) if args.theta else None
-    budget = parse_budget_spec(args.budget) if args.budget else GuessBudget.constant(1)
+    budget = parse_budget_spec(args.budget) if args.budget else leakage.GuessBudget.constant(1)
     checks = list(args.check)
     if not checks:
         if gamma is not None:
@@ -192,15 +173,16 @@ def _cmd_oracle(args) -> dict:
         if graph is None:
             raise DomainError("usage", f"{check} check needs {'--theta' if check == 'packing' else '--graph'}")
         if check == "duality":
-            reports.append(verify_eta_duality(graph, args.t))
+            reports.append(oracle.verify_eta_duality(graph, args.t))
         elif check == "packing":
             _require_nonempty(graph)
-            reports.append(verify_packing_reciprocity(graph, distribution_grid(graph.vertex_count, args.grid)))
+            grid = oracle.distribution_grid(graph.vertex_count, args.grid)
+            reports.append(oracle.verify_packing_reciprocity(graph, grid))
         elif check == "multi-guess-floor":
             _require_nonempty(graph)
-            reports.append(verify_multi_guess_floor(graph, budget, args.t, args.grid, args.trials, args.seed))
+            reports.append(oracle.verify_multi_guess_floor(graph, budget, args.t, args.grid, args.trials, args.seed))
         else:
-            reports.append(verify_mergeability_closure(graph, args.t, args.trials, args.seed))
+            reports.append(oracle.verify_mergeability_closure(graph, args.t, args.trials, args.seed))
     return {"reports": reports}
 
 

@@ -9,14 +9,12 @@ better refused than half-read.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import chain, compress
 from json.encoder import encode_basestring
 
+from . import leakage, rationals
 from .errors import DomainError
 from .graphs import Graph, MalformedPair, make_graph
-from .leakage import BoundsReport, GuessBudget, StochasticMapping, make_mapping
-from .rationals import bits_display, format_ratio, parse_ratio
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -165,9 +163,9 @@ def graph_from_obj(obj) -> Graph:
         raise DomainError("bad_graph_json", f"edge {exc.pair!r} must be a pair of integers") from None
 
 
-def mapping_to_obj(m: StochasticMapping) -> dict:
+def mapping_to_obj(m: leakage.StochasticMapping) -> dict:
     d = m.denominator
-    text = {e: format_ratio(Fraction(e, d)) for e in set(chain.from_iterable(m.counts))}
+    text = {e: rationals.format_ratio(rationals.Fraction(e, d)) for e in set(chain.from_iterable(m.counts))}
     return {
         "t": m.t,
         "codewords": list(m.codewords),
@@ -175,7 +173,7 @@ def mapping_to_obj(m: StochasticMapping) -> dict:
     }
 
 
-def mapping_from_obj(obj) -> StochasticMapping:
+def mapping_from_obj(obj) -> leakage.StochasticMapping:
     _require_keys(obj, {"t", "codewords", "rows"}, set(), "mapping", "bad_mapping_json")
     t = obj["t"]
     if not isinstance(t, int) or isinstance(t, bool):
@@ -186,36 +184,36 @@ def mapping_from_obj(obj) -> StochasticMapping:
     rows = obj["rows"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise DomainError("bad_mapping_json", '"rows" must be a list of lists')
-    parsed = [[parse_ratio(e) if isinstance(e, str) else _reject_entry(e) for e in row] for row in rows]
-    return make_mapping(t, codewords, parsed)
+    parsed = [[rationals.parse_ratio(e) if isinstance(e, str) else _reject_entry(e) for e in row] for row in rows]
+    return leakage.make_mapping(t, codewords, parsed)
 
 
 def _reject_entry(e):
     raise DomainError("bad_mapping_json", f'probability {e!r} must be a "p/q" string')
 
 
-def bounds_to_obj(report: BoundsReport) -> dict:
+def bounds_to_obj(report: leakage.BoundsReport) -> dict:
     return {
-        "lower": format_ratio(report.lower.log2_of),
-        "upper": format_ratio(report.upper.log2_of),
-        "lower_bits": bits_display(report.lower.log2_of),
-        "upper_bits": bits_display(report.upper.log2_of),
+        "lower": rationals.format_ratio(report.lower.log2_of),
+        "upper": rationals.format_ratio(report.upper.log2_of),
+        "lower_bits": rationals.bits_display(report.lower.log2_of),
+        "upper_bits": rationals.bits_display(report.upper.log2_of),
         "tight": report.tight,
         "provenance": dict(report.provenance),
     }
 
 
-def parse_budget_spec(text: str) -> GuessBudget:
+def parse_budget_spec(text: str) -> leakage.GuessBudget:
     """Parse a budget argument: const:c, poly:d, exp:p/q, or table:PATH."""
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
         raise DomainError("bad_budget_spec", f"budget {text!r} must look like kind:value")
     if kind == "const":
-        return GuessBudget.constant(_parse_int(rest, "constant budget count"))
+        return leakage.GuessBudget.constant(_parse_int(rest, "constant budget count"))
     if kind == "poly":
-        return GuessBudget.polynomial(_parse_int(rest, "polynomial budget degree"))
+        return leakage.GuessBudget.polynomial(_parse_int(rest, "polynomial budget degree"))
     if kind == "exp":
-        return GuessBudget.exponential(parse_ratio(rest))
+        return leakage.GuessBudget.exponential(rationals.parse_ratio(rest))
     if kind == "table":
         obj = load_json_file(rest, "budget table")
         _require_keys(obj, {"values"}, {"growth"}, "budget table", "bad_budget_spec")
@@ -225,7 +223,7 @@ def parse_budget_spec(text: str) -> GuessBudget:
         growth = obj.get("growth")
         if growth is not None and not isinstance(growth, str):
             raise DomainError("bad_budget_spec", '"growth" must be a "p/q" string or null')
-        return GuessBudget.table(values, None if growth is None else parse_ratio(growth))
+        return leakage.GuessBudget.table(values, None if growth is None else rationals.parse_ratio(growth))
     raise DomainError("bad_budget_spec", f"unknown budget kind {kind!r}")
 
 

@@ -33,6 +33,8 @@ from .graphs import (
 from .leakage import (
     GuessBudget,
     StochasticMapping,
+    _bit_length_bounds,
+    _exceeds,
     _kronecker,
     _require_source_rows,
     maximal_leakage,
@@ -312,6 +314,19 @@ def _decimal_digits(x: int) -> int:
     return k + 1
 
 
+# the longest polynomial guess count the floor check builds, in bits: its
+# digits are counted in a fraction of a second
+_BUILT_COUNT_BITS = 1 << 20
+
+
+def _inadmissible_count(shown: str, alpha: int, t: int) -> DomainError:
+    return DomainError(
+        "inadmissible_budget",
+        f"g(t){shown} exceeds the {alpha}**{t} independent vertices available",
+        {"alpha": alpha, "t": t},
+    )
+
+
 def verify_multi_guess_floor(
     gamma: Graph,
     budget: GuessBudget,
@@ -337,16 +352,18 @@ def verify_multi_guess_floor(
     alpha = independence_number(gamma)
     rng = random.Random(seed)
     m = generate_valid_mapping(gamma, t, r, rng)
+    if budget.kind == "polynomial":
+        count = ((t, budget.degree),)
+        # a count past _BUILT_COUNT_BITS is named t**d and never built:
+        # 3**(10**9) alone would take minutes
+        if _bit_length_bounds(count)[0] > _BUILT_COUNT_BITS and _exceeds(count, ((alpha, t),)):
+            raise _inadmissible_count(f"={t}**{budget.degree}", alpha, t)
     g = budget.guesses(t)
     if g > alpha**t:
         # a guess count of over 100 digits is named by its length, which
         # also keeps it clear of the int-string conversion limit
         shown = f"={g}" if g < 10**100 else f", a {_decimal_digits(g)}-digit number,"
-        raise DomainError(
-            "inadmissible_budget",
-            f"g(t){shown} exceeds the {alpha}**{t} independent vertices available",
-            {"alpha": alpha, "t": t},
-        )
+        raise _inadmissible_count(shown, alpha, t)
     floor = Fraction(n, alpha) ** t
     fam = GuessFamily.multi_guess(gamma, t, g)
     uniform = [1] * m.source_count

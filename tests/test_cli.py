@@ -633,12 +633,11 @@ def test_oracle_usage_errors(capsysbinary):
 
 
 def test_oracle_failure_exit_code(capsysbinary, monkeypatch):
-    import zeroleak.cli as cli_module
-
     def fake_duality(gamma, t):
         return {"check": "duality", "status": "fail", "witness": {"t": t}, "lhs": "2/1", "rhs": "1/1"}
 
-    monkeypatch.setattr(cli_module, "verify_eta_duality", fake_duality)
+    # the CLI reads the check off the oracle module at call time
+    monkeypatch.setattr("zeroleak.oracle.verify_eta_duality", fake_duality)
     code, out, _ = run_main(capsysbinary, "oracle", "duality", "--graph", "fixture:k2")
     assert code == 3
     assert json.loads(out)["reports"][0]["status"] == "fail"
@@ -770,6 +769,22 @@ def test_a_guess_count_past_the_conversion_limit_is_a_json_error(capsysbinary):
     error = json.loads(err)["error"]
     assert error["code"] == "inadmissible_budget"
     assert error["message"] == "g(t), a 47713-digit number, exceeds the 2**3 independent vertices available"
+
+
+@pytest.mark.parametrize(
+    "budget, shown",
+    [("poly:5", "=243"), ("poly:1000000000", "=3**1000000000")],
+    ids=["short", "billion"],
+)
+def test_a_huge_polynomial_floor_check_names_its_count(capsysbinary, budget, shown):
+    # 3**(10**9) guesses are screened by bit length and named, never built
+    code, out, err = run_main(
+        capsysbinary, "oracle", "multi-guess-floor", "--graph", "fixture:c5", "--budget", budget, "--t", "3"
+    )
+    assert code == 1 and out == b""
+    error = json.loads(err)["error"]
+    assert error["code"] == "inadmissible_budget"
+    assert error["message"] == f"g(t){shown} exceeds the 2**3 independent vertices available"
 
 
 def test_a_huge_polynomial_degree_is_screened_by_size(capsysbinary):

@@ -8,9 +8,16 @@ The start-up guard imports `zeroleak.cli` in a fresh interpreter.  Every
 CLI call pays that import, so it must not load the modules that code
 generation and source introspection need, nor `importlib.resources`, which
 the shipped fixtures do not need to be read, nor `argparse` and the
-`gettext` it pulls in, which the CLI's own table parser replaces.  It must still load every module
-that the benchmark's tracer assigns a layer, because the tracer wraps only
-the functions of modules loaded by that import.
+`gettext` it pulls in, which the CLI's own table parser replaces.  It must
+still load every module that the benchmark's tracer assigns a layer, because
+the tracer wraps only the functions of modules in `sys.modules` by then.
+Here "loaded" means registered: `rationals`, `lp`, `programs`, `leakage` and
+`oracle` are lazy modules, in `sys.modules` from the start, whose bodies run
+when one of their attributes is first read.  The tracer's `vars()` reads
+them, so it still wraps every layer.
+
+Graph-only calls (`alpha`, `info`, `mis`, `product`) must run none of the
+lazy modules, and every public name of the package must still resolve.
 """
 
 import ast
@@ -78,3 +85,47 @@ def test_cli_import_is_light_and_eager():
     assert [name for name in HEAVY_AT_START_UP if name in loaded] == []
     traced = [name for name in _tracer_layer_map() if name.startswith("zeroleak.")]
     assert traced and [name for name in traced if name not in loaded] == []
+
+
+LAZY = ("zeroleak.rationals", "zeroleak.lp", "zeroleak.programs", "zeroleak.leakage", "zeroleak.oracle")
+GRAPH_ONLY = [
+    ["alpha", "--graph", "fixture:c5"],
+    ["info", "--graph", "fixture:petersen"],
+    ["mis", "--graph", "fixture:c7"],
+    ["product", "--graph", "fixture:c5", "--graph", "fixture:k2", "--op", "and"],
+]
+
+
+def _probe(code: str):
+    """The JSON that code prints last, run by a fresh `python -S` on src/."""
+    code = f"import json, sys\nsys.path.insert(0, {str(ROOT / 'src')!r})\n{code}"
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_graph_only_calls_run_no_lazy_module():
+    # a lazy module's own __dict__, read without loading it, holds only the
+    # dunder names of its spec until its body runs
+    found = _probe(f"""
+from zeroleak.cli import main
+codes = [main(argv) for argv in {GRAPH_ONLY!r}]
+ran = [name for name in {LAZY!r}
+       if any(not key.startswith("__") for key in object.__getattribute__(sys.modules[name], "__dict__"))]
+print(json.dumps([codes, ran, [name for name in ("random", "fractions") if name in sys.modules]]))
+""")
+    assert found == [[0] * len(GRAPH_ONLY), [], []]
+
+
+def test_every_public_name_resolves_to_its_home_object():
+    # each name is the object that every zeroleak module binding it holds,
+    # and a star import gives them all
+    found = _probe("""
+import zeroleak
+modules = [module for name, module in list(sys.modules.items()) if name.startswith("zeroleak.")]
+bad = [name for name in zeroleak.__all__
+       if any(vars(module).get(name, value) is not value for value in [getattr(zeroleak, name)] for module in modules)]
+star = {}
+exec("from zeroleak import *", star)
+print(json.dumps([bad, sorted(set(zeroleak.__all__) - star.keys())]))
+""")
+    assert found == [[], []]

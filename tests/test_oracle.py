@@ -386,6 +386,25 @@ def test_floor_check_names_a_long_guess_count_by_its_digits(count, shown):
     assert e.value.message == f"{shown} the 2**1 independent vertices available"
 
 
+@pytest.mark.parametrize(
+    "degree, shown",
+    [
+        (5, "g(t)=32 exceeds"),
+        (2**20 - 1, "g(t), a 315653-digit number, exceeds"),
+        (2**20, f"g(t)=2**{2**20} exceeds"),
+        (10**9, "g(t)=2**1000000000 exceeds"),
+    ],
+    ids=["short", "longest_built", "shortest_named", "billion"],
+)
+def test_floor_check_names_a_huge_polynomial_count_by_its_power(degree, shown):
+    # a polynomial count of over 2**20 bits is screened by its bit length,
+    # so 2**(10**9) is named without being built
+    with pytest.raises(DomainError) as e:
+        verify_multi_guess_floor(resolve_fixture("c5"), GuessBudget.polynomial(degree), 2, 4)
+    assert e.value.code == "inadmissible_budget"
+    assert e.value.message == f"{shown} the 2**2 independent vertices available"
+
+
 def test_decimal_digits_at_every_power_of_ten():
     for k in range(1, 1200):
         for x in (10**k - 1, 10**k, 10**k + 1):

@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = [
     ["chif", "--graph", "fixture:c5"],
@@ -32,20 +34,41 @@ def _load_tracer():
     return module
 
 
-def test_traced_calls_report_every_declared_per_layer_metric(tmp_path):
-    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+def _trace(tmp_path, argv) -> dict:
+    """The tracer's stats for one CLI call, which must answer on exit 0."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("ZEROLEAK_BUDGET", None)
-    stats = []
-    for k, argv in enumerate(CALLS):
-        stats_path = tmp_path / f"stats{k}.json"
-        done = subprocess.run(
-            [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(stats_path), *argv],
-            capture_output=True,
-            env=env,
-        )
-        assert done.returncode == 0, done.stderr
-        json.loads(done.stdout)  # the CLI's own answer, untouched by the tracer
-        stats.append(json.loads(stats_path.read_text()))
-    metrics = _load_tracer().layer_metrics(stats)
+    stats_path = tmp_path / "stats.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(stats_path), *argv],
+        capture_output=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    json.loads(done.stdout)  # the CLI's own answer, untouched by the tracer
+    return json.loads(stats_path.read_text())
+
+
+def test_traced_calls_report_every_declared_per_layer_metric(tmp_path):
+    declared = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    metrics = _load_tracer().layer_metrics([_trace(tmp_path, argv) for argv in CALLS])
     assert declared - {"trace.overhead_s"} - metrics.keys() == set()
+
+
+@pytest.mark.parametrize(
+    "argv, key, units",
+    [
+        (CALLS[0], "lp.solve_lp", {"mis_enumeration": 9, "lp_pivots": 5}),
+        (CALLS[0], "programs.fractional_chromatic", {"mis_enumeration": 9, "lp_pivots": 5}),
+        (CALLS[1], "leakage.optimal_leakage_t", {"mis_enumeration": 9, "lp_pivots": 5}),
+        (CALLS[2], "lp.solve_lp", {"mis_enumeration": 10, "set_cover_search": 1, "lp_pivots": 10}),
+        (CALLS[3], "oracle.verify_mergeability_closure", {"mis_enumeration": 9}),
+    ],
+    ids=["chif_lp", "chif_programs", "leakage_optimal", "bounds_multi_approx", "merge_closure"],
+)
+def test_the_tracer_times_every_lazily_loaded_layer(tmp_path, argv, key, units):
+    # the layers load on first use, inside the tracer's install(); their
+    # calls and meter units must still be seen
+    stats = _trace(tmp_path, argv)
+    assert stats["calls"].get(key, 0) >= 1
+    assert stats["units"] == units
