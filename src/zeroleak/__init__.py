@@ -21,9 +21,10 @@ def _register_lazily(name: str):
     return module
 
 
-# Registered before the eager imports below, which import some of them.  In
-# dependency order, so the search in `__getattr__` loads only modules that
-# the one holding the name imports anyway (and the small `rationals`).
+# Registered before the eager imports below, which import some of them.  The
+# search in `__getattr__` loads each module it passes, in this order, so a
+# package-level name of `leakage` or `oracle` loads `lp` and `programs` too;
+# the CLI reads the modules themselves and loads only what a command runs.
 _LAZY = tuple(map(_register_lazily, ("rationals", "lp", "programs", "leakage", "oracle")))
 rationals, lp, programs, leakage, oracle = _LAZY
 

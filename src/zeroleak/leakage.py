@@ -17,6 +17,7 @@ from functools import cached_property
 from itertools import chain, compress
 from typing import Callable, NamedTuple
 
+from . import programs
 from .budget import AUTOMORPHISM_VERTEX_CAP, WorkMeter
 from .errors import DomainError, ZeroleakError
 from .graphs import (
@@ -36,13 +37,7 @@ from .graphs import (
     trace_masks,
     vertex_mask,
 )
-from .programs import (
-    fractional_chromatic,
-    fractional_cover,
-    fractional_packing,
-    min_cover_size,
-)
-from .rationals import _over_one_denominator, bits_display
+from .rationals import _over_one_denominator, _shown_in_message, bits_display
 from .values import FrozenValue
 
 
@@ -68,12 +63,14 @@ class StochasticMapping(FrozenValue):
     counts in [0, denominator] and every row summing to the denominator.  The
     constructor checks exactly that, and then reduces the denominator and the
     counts to lowest terms, so equal rational matrices compare and hash
-    equal.  Every mapping passes that full check except the result of
-    `merge_codewords`, which is built by `_merged` from a checked mapping and
-    the proof that a merge keeps it valid.  `rows` is the same matrix as
-    exact Fractions, `supports` the sources of each codeword as bitmasks,
-    and `column_maxima` each codeword's largest count, all derived on first
-    use (a merge carries `supports` and any `column_maxima` over).
+    equal.  Every mapping passes that full check except those built by
+    `_unchecked` on a proof that they would pass it: the result of
+    `merge_codewords` (`_merged`), and the oracle's random schemes, whose
+    rows deal the denominator's units over distinct names.  `rows` is the
+    same matrix as exact Fractions, `supports` the sources of each codeword
+    as bitmasks, and `column_maxima` each codeword's largest count, all
+    derived on first use (a merge carries `supports` and any `column_maxima`
+    over).
     """
 
     t: int
@@ -106,12 +103,21 @@ class StochasticMapping(FrozenValue):
             and set(map(sum, counts)) == {d}
         ):
             _raise_first_fault(counts, len(self.codewords), d)
-        g = math.gcd(d, *chain.from_iterable(counts))
-        if g > 1:
-            d //= g
-            counts = tuple(tuple(map(g.__rfloordiv__, row)) for row in counts)
+        d, counts = _lowest_terms(d, counts)
         object.__setattr__(self, "denominator", d)
         object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def _unchecked(cls, t: int, codewords: tuple[str, ...], denominator: int, counts: tuple) -> StochasticMapping:
+        """The mapping of these fields in lowest terms, built without the full check.
+
+        Only for fields proven to pass it: `_merged` and the oracle's
+        `generate_valid_mapping` build their results here.
+        """
+        denominator, counts = _lowest_terms(denominator, counts)
+        mapping = object.__new__(cls)
+        mapping.__dict__.update(t=t, codewords=codewords, denominator=denominator, counts=counts)
+        return mapping
 
     @cached_property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -148,19 +154,9 @@ class StochasticMapping(FrozenValue):
         """
         column = [row[lo] + row[hi] for row in self.counts]
         counts = tuple(_spliced(row, lo, hi, c) for row, c in zip(self.counts, column))
-        d = self.denominator
-        g = math.gcd(d, *chain.from_iterable(counts))
-        if g > 1:
-            d //= g
-            counts = tuple(tuple(map(g.__rfloordiv__, row)) for row in counts)
-        merged = object.__new__(StochasticMapping)
-        merged.__dict__.update(
-            t=self.t,
-            codewords=_spliced(self.codewords, lo, hi, name),
-            denominator=d,
-            counts=counts,
-            supports=_spliced(self.supports, lo, hi, self.supports[lo] | self.supports[hi]),
-        )
+        merged = self._unchecked(self.t, _spliced(self.codewords, lo, hi, name), self.denominator, counts)
+        merged.__dict__["supports"] = _spliced(self.supports, lo, hi, self.supports[lo] | self.supports[hi])
+        g = self.denominator // merged.denominator
         maxima = self.__dict__.get("column_maxima")
         if maxima is not None:
             maxima = _spliced(maxima, lo, hi, max(column))
@@ -173,6 +169,18 @@ def _spliced(items: tuple, lo: int, hi: int, item) -> tuple:
     return items[:lo] + (item,) + items[lo + 1 : hi] + items[hi + 1 :]
 
 
+def _lowest_terms(d: int, counts: tuple) -> tuple[int, tuple]:
+    """The denominator and the counts divided by their gcd; the gcd is taken
+    row by row and stops at 1, which a random row usually reaches at once."""
+    g = d
+    for row in counts:
+        g = math.gcd(g, *row)
+        if g == 1:
+            return d, counts
+    d //= g
+    return d, tuple(tuple(map(g.__rfloordiv__, row)) for row in counts)
+
+
 def _raise_first_fault(counts, width: int, d: int) -> None:
     """Raise for the first bad row width, entry or row sum, in row order."""
     for x, row in enumerate(counts):
@@ -182,9 +190,10 @@ def _raise_first_fault(counts, width: int, d: int) -> None:
             if type(e) is not int:
                 raise DomainError("bad_mapping", f"row {x} entry {e!r} outside [0, 1]")
             if e < 0 or e > d:
-                raise DomainError("bad_mapping", f"row {x} entry {Fraction(e, d)!r} outside [0, 1]")
+                shown = _shown_in_message(Fraction(e, d), repr)
+                raise DomainError("bad_mapping", f"row {x} entry {shown} outside [0, 1]")
         if sum(row) != d:
-            raise DomainError("bad_mapping", f"row {x} sums to {Fraction(sum(row), d)}, not 1")
+            raise DomainError("bad_mapping", f"row {x} sums to {_shown_in_message(Fraction(sum(row), d))}, not 1")
     raise ZeroleakError("internal_error", "mapping check failed but no row is at fault")
 
 
@@ -314,7 +323,7 @@ def optimal_leakage_t(gamma: Graph, t: int) -> OptimalLeakage:
     reported alongside, so a gap would be visible rather than silent.
     """
     _require_power(t)
-    coloring = fractional_chromatic(gamma)
+    coloring = programs.fractional_chromatic(gamma)
     n, chi = gamma.vertex_count, coloring.value
     kappa_scale, kappa = _over_one_denominator(coloring.weights)
     y_scale, y = _over_one_denominator(coloring.vertex_weights)
@@ -362,7 +371,7 @@ def optimal_leakage_t(gamma: Graph, t: int) -> OptimalLeakage:
 
 def leakage_rate(gamma: Graph) -> LeakageValue:
     """Per-symbol optimal leakage in the long run: log2 of the fractional chromatic number."""
-    return LeakageValue(fractional_chromatic(gamma).value)
+    return LeakageValue(programs.fractional_chromatic(gamma).value)
 
 
 class FoldedColoring(NamedTuple):
@@ -413,7 +422,7 @@ def optimal_scalar_mapping(gamma: Graph) -> StochasticMapping:
     by its members, so the measured leakage is m/b, the fractional chromatic
     number itself.
     """
-    coloring = fractional_chromatic(gamma)
+    coloring = programs.fractional_chromatic(gamma)
     b, family = b_fold_coloring_from_weights(gamma, coloring.weights)
     if any(len(s) == 0 for s in family.sets):
         raise ZeroleakError("internal_error", "optimal coloring produced an empty color class")
@@ -642,7 +651,7 @@ def multi_guess_bounds(gamma: Graph, budget: GuessBudget) -> BoundsReport:
             f"budget exceeds the {alpha}**t independent vertices available",
             {"alpha": alpha},
         )
-    chi = fractional_chromatic(gamma).value
+    chi = programs.fractional_chromatic(gamma).value
     provenance: list[tuple[str, str]] = []
     try:
         sigma_zero = budget.sigma_is_zero()
@@ -672,7 +681,7 @@ def _base_trace_families(gamma: Graph, theta: Graph) -> list[tuple[int, tuple[in
 
 
 def _max_fractional_covering(families, kf_cache: dict) -> Fraction:
-    return max(fractional_cover((1 << w) - 1, masks, range(w), kf_cache)[0] for w, masks in families)
+    return max(programs.fractional_cover((1 << w) - 1, masks, range(w), kf_cache)[0] for w, masks in families)
 
 
 def _approx_guess_sides(
@@ -683,7 +692,7 @@ def _approx_guess_sides(
     provenance: list[tuple[str, str]] = [("lower", "packing_over_max_covering")]
     if raw < 1:
         provenance.append(("lower_floor", "clamped_to_zero_bits"))
-    chi = fractional_chromatic(gamma).value
+    chi = programs.fractional_chromatic(gamma).value
     provenance.append(("upper", "fractional_chromatic"))
     return max(raw, Fraction(1)), chi, provenance
 
@@ -697,7 +706,7 @@ def approx_guess_bounds(gamma: Graph, theta: Graph) -> BoundsReport:
     side: the plain single-guess rate.
     """
     _require_same_vertices(gamma, theta)
-    packing = fractional_packing(theta).value
+    packing = programs.fractional_packing(theta).value
     kf_max = _max_fractional_covering(_base_trace_families(gamma, theta), {})
     lower, chi, provenance = _approx_guess_sides(gamma, packing, kf_max)
     return BoundsReport(LeakageValue(lower), LeakageValue(chi), lower == chi, tuple(provenance))
@@ -736,7 +745,7 @@ def multi_approx_guess_bounds(gamma: Graph, theta: Graph, budget: GuessBudget) -
         best = 0
         for combo in itertools.combinations_with_replacement(distinct, t):
             width, masks = product_traces(combo)
-            best = max(best, min_cover_size((1 << width) - 1, masks, range(width), kf_cache))
+            best = max(best, programs.min_cover_size((1 << width) - 1, masks, range(width), kf_cache))
         return best
 
     if not _budget_fits(budget, kf_max, cap_at):
@@ -744,7 +753,7 @@ def multi_approx_guess_bounds(gamma: Graph, theta: Graph, budget: GuessBudget) -
             "inadmissible_budget",
             "budget exceeds the approximate guesses the adversary graph can tell apart",
         )
-    packing = fractional_packing(theta).value
+    packing = programs.fractional_packing(theta).value
     lower, chi, provenance = _approx_guess_sides(gamma, packing, kf_max)
     try:
         if budget.sigma_is_zero():

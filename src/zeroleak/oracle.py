@@ -14,10 +14,11 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul, or_
 
-from .budget import WorkMeter
+from . import programs
+from .budget import WorkMeter, enumeration_budget
 from .errors import DomainError
 from .graphs import (
     Graph,
@@ -37,12 +38,10 @@ from .leakage import (
     _exceeds,
     _kronecker,
     _require_source_rows,
-    maximal_leakage,
     merge_codewords,
     validate_mapping,
 )
-from .programs import fractional_chromatic, fractional_packing, maximin_eta
-from .rationals import _over_one_denominator, format_ratio
+from .rationals import _decimal_digits, _over_one_denominator, format_ratio
 from .values import FrozenValue
 
 
@@ -132,7 +131,8 @@ def distribution_grid(n: int, r: int) -> DistributionGrid:
 # ---------------------------------------------------------------------------
 
 def _top_sum(values, g: int) -> int:
-    return sum(sorted(values, reverse=True)[:g])
+    # g = 1 is the default const:1 budget
+    return max(values) if g == 1 else sum(sorted(values, reverse=True)[:g])
 
 
 def _rho_from_ints(counts, d: int, fam: GuessFamily, weights) -> Fraction:
@@ -202,29 +202,53 @@ def generate_valid_mapping(
     the codewords whose set contains it.  With duplicate_codebook each set
     appears twice, which leaves the scheme mergeable on purpose.  The units
     dealt, sequences times r, are checked against a `scheme_units` meter.
+    The codebook comes from `_codebook`, which builds it once for a run of
+    trials.  Each unit is one `rng.getrandbits(k)` draw, redrawn while it
+    is past the holder count, with k that count's bit length: the stream
+    `randrange(count)` draws from a `random.Random` (Python 3.10-3.12), so
+    a seed deals the same scheme.
     """
     if r < 1:
         raise DomainError("bad_grid", f"need r >= 1, got {r}")
+    names, draws = _codebook(gamma, t, r, duplicate_codebook, enumeration_budget())
+    getrandbits = rng.getrandbits
+    width = len(names)
+    rows = []
+    for containing, count, k in draws:
+        counts = [0] * width
+        for _ in range(r):
+            j = getrandbits(k)
+            while j >= count:
+                j = getrandbits(k)
+            counts[containing[j]] += 1
+        rows.append(tuple(counts))
+    # every row deals r units over distinct names: the full check holds
+    return StochasticMapping._unchecked(t, names, r, tuple(rows))
+
+
+@lru_cache(maxsize=4)
+def _codebook(gamma: Graph, t: int, r: int, duplicate_codebook: bool, limit: int):
+    """The codeword names, and per source its holders, their count and its bit length.
+
+    A codeword holds the sources of its maximal independent set of the OR
+    power, and every source is in one.  The product sets' `mis_enumeration`
+    meter runs before the `scheme_units` check, and both before any list of
+    n**t is built.  A run of trials deals over one codebook, so the last
+    few are kept; r and the budget `limit` are in the key, so a cached
+    codebook stands for the same two checks passed.
+    """
     sets = mis_of_or_power(gamma, t)
-    meter = WorkMeter("scheme_units")
-    meter.check_size(_capped_power(gamma.vertex_count, t, meter.limit) * r, "random scheme")
-    total = gamma.vertex_count**t
+    WorkMeter("scheme_units", limit).check_size(_capped_power(gamma.vertex_count, t, limit) * r, "random scheme")
     copies = ("#1", "#2") if duplicate_codebook else ("",)
     names = []
-    holders = [[] for _ in range(total)]
+    holders = [[] for _ in range(gamma.vertex_count**t)]
     for s in sets:
-        base = "+".join(str(v) for v in s)
+        base = "+".join(map(str, s))
         for copy in copies:
             for x in s:
                 holders[x].append(len(names))
             names.append(base + copy)
-    rows = []
-    for containing in holders:
-        counts = [0] * len(names)
-        for _ in range(r):
-            counts[containing[rng.randrange(len(containing))]] += 1
-        rows.append(tuple(counts))
-    return StochasticMapping(t, tuple(names), r, tuple(rows))
+    return tuple(names), tuple((tuple(h), len(h), len(h).bit_length()) for h in holders)
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +264,8 @@ def verify_eta_duality(gamma: Graph, t: int) -> dict:
     that does not rely on that structure.
     """
     product = or_power(gamma, t)
-    chi = fractional_chromatic(product).value
-    eta = maximin_eta(product).value
+    chi = programs.fractional_chromatic(product).value
+    eta = programs.maximin_eta(product).value
     lhs = eta * chi
     return {
         "check": "duality",
@@ -262,18 +286,16 @@ def verify_packing_reciprocity(theta: Graph, grid: DistributionGrid) -> dict:
     integer masses over one common denominator; the witness is the first
     minimal prior in grid order.
     """
-    packing = fractional_packing(theta).value
+    packing = programs.fractional_packing(theta).value
     target = Fraction(1) / packing
     n = theta.vertex_count
     if grid.alphabet_size != n:
         raise DomainError("dimension_mismatch", f"grid is over {grid.alphabet_size} symbols, graph has {n}")
     hoods = [_bits(row | 1 << x) for x, row in enumerate(theta.rows)]
-    masses = set(itertools.chain.from_iterable(grid.points))
-    d, scaled = _over_one_denominator(masses)
-    units = dict(zip(masses, scaled))
+    d = math.lcm(*{p.denominator for p in itertools.chain.from_iterable(grid.points)})
     best_units = None
     for px in grid.points:
-        ks = tuple(map(units.__getitem__, px))
+        ks = [p.numerator * (d // p.denominator) for p in px]
         value = max(sum(map(ks.__getitem__, hood)) for hood in hoods)
         if best_units is None or value < best_units:
             best_units = value
@@ -305,15 +327,6 @@ def _check_trials(trials: int) -> None:
     WorkMeter("oracle_trials").check_size(trials, "oracle trials")
 
 
-def _decimal_digits(x: int) -> int:
-    """The number of decimal digits of x >= 1, without writing x out."""
-    # 30102999 / 10**8 is just under log10(2), so 10**k <= x from the start
-    k = (x.bit_length() - 1) * 30102999 // 10**8
-    while 10 ** (k + 1) <= x:
-        k += 1
-    return k + 1
-
-
 # the longest polynomial guess count the floor check builds, in bits: its
 # digits are counted in a fraction of a second
 _BUILT_COUNT_BITS = 1 << 20
@@ -338,12 +351,13 @@ def verify_multi_guess_floor(
     """Random valid schemes never beat the alphabet-over-independence floor.
 
     At the uniform prior a g-guess adversary's advantage is at least
-    (n/alpha)**t for every zero-error scheme.  Schemes are drawn with row
-    denominator r; the budget must be admissible at t.  The first scheme is
-    drawn before anything else of size exponential in t: its meters bound
-    the n**t sequences and the alpha**t independent ones, so a long t is
-    refused before the guess count, the floor, the guess family or the
-    uniform prior is built.
+    (n/alpha)**t for every zero-error scheme; it is the sum over codewords
+    of the g largest counts of each column, over g times the denominator.
+    Schemes are drawn with row denominator r; the budget must be admissible
+    at t.  The first scheme is drawn before anything else of size
+    exponential in t: its meters bound the n**t sequences and the alpha**t
+    independent ones, so a long t is refused before the guess count or the
+    floor is built.
     """
     n = gamma.vertex_count
     if n < 1 or r < 1:
@@ -365,14 +379,12 @@ def verify_multi_guess_floor(
         shown = f"={g}" if g < 10**100 else f", a {_decimal_digits(g)}-digit number,"
         raise _inadmissible_count(shown, alpha, t)
     floor = Fraction(n, alpha) ** t
-    fam = GuessFamily.multi_guess(gamma, t, g)
-    uniform = [1] * m.source_count
     worst = None
     bad_trial = None
     for trial in range(trials):
         if trial:
             m = generate_valid_mapping(gamma, t, r, rng)
-        value = _rho_from_ints(m.counts, m.denominator, fam, uniform)
+        value = Fraction(sum(_top_sum(column, g) for column in zip(*m.counts)), m.denominator * g)
         if worst is None or value < worst:
             worst = value
             if value < floor:
@@ -410,30 +422,36 @@ def verify_mergeability_closure(gamma: Graph, t: int, trials: int, seed: int = 0
     Each step merges the first mergeable pair in `itertools.combinations`
     order.  A merge only grows supports, so a pair found confusable stays
     confusable: after merging (lo, hi), every pair before (lo, hi) in the new
-    indexing is still confusable, and the next scan resumes there.
+    indexing is still confusable, and the next scan resumes there.  Leakage
+    is kept as the integer pair (sum of column maxima, denominator), the
+    `maximal_leakage` value, and the steps are compared by cross-multiplying;
+    the worst step becomes one Fraction for the report.
     """
     _check_trials(trials)
     rng = random.Random(seed)
     product = or_power(gamma, t)
-    worst_step = Fraction(0)
+    worst_num, worst_den = 0, 1
     merges = 0
     failure = None
     for trial in range(trials):
         m = generate_valid_mapping(gamma, t, r, rng, duplicate_codebook=True)
-        value = maximal_leakage(m).log2_of
+        num, den = sum(m.column_maxima), m.denominator
         pair = (0, 1)
         while True:
             pair = _first_mergeable_pair(m, product, pair)
             if pair is None:
                 break
             merged = merge_codewords(m, m.codewords[pair[0]], m.codewords[pair[1]], gamma)
-            merged_value = maximal_leakage(merged).log2_of
+            merged_num, merged_den = sum(merged.column_maxima), merged.denominator
             merges += 1
-            worst_step = max(worst_step, merged_value / value)
-            if merged_value > value or not validate_mapping(merged, gamma):
+            # the step is (merged_num / merged_den) / (num / den)
+            step_num, step_den = merged_num * den, merged_den * num
+            if step_num * worst_den > worst_num * step_den:
+                worst_num, worst_den = step_num, step_den
+            if step_num > step_den or not validate_mapping(merged, gamma):
                 failure = trial
                 break
-            m, value = merged, merged_value
+            m, num, den = merged, merged_num, merged_den
         if failure is not None:
             break
     witness: dict = {"t": t, "trials": trials, "seed": seed, "r": r, "merges": merges}
@@ -443,6 +461,6 @@ def verify_mergeability_closure(gamma: Graph, t: int, trials: int, seed: int = 0
         "check": "merge-closure",
         "status": "fail" if failure is not None else "pass",
         "witness": witness,
-        "lhs": format_ratio(worst_step),
+        "lhs": format_ratio(Fraction(worst_num, worst_den)),
         "rhs": "1/1",
     }

@@ -46,6 +46,29 @@ def _over_one_denominator(fractions) -> tuple[int, list[int]]:
     return d, [q.numerator * (d // q.denominator) for q in fractions]
 
 
+def _decimal_digits(x: int) -> int:
+    """The number of decimal digits of x >= 1, without writing x out."""
+    # 30102999 / 10**8 is just under log10(2), so 10**k <= x from the start
+    k = (x.bit_length() - 1) * 30102999 // 10**8
+    while 10 ** (k + 1) <= x:
+        k += 1
+    return k + 1
+
+
+def _shown_in_message(value: Fraction, show=str) -> str:
+    """`show(value)` for an error message, unless a part of value has over 100
+    digits: then its parts are named by their digit counts, which also keeps
+    the message clear of the int-string conversion limit."""
+    p, q = value.numerator, value.denominator
+    if abs(p) < 10**100 and q < 10**100:
+        return show(value)
+    sign = "a negative" if p < 0 else "a"
+    return (
+        f"{sign} fraction with a {_decimal_digits(abs(p))}-digit numerator"
+        f" and a {_decimal_digits(q)}-digit denominator"
+    )
+
+
 def format_ratio(value: Fraction) -> str:
     """Render a Fraction as "p/q", always including the denominator.
 

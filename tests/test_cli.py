@@ -859,6 +859,33 @@ def test_fixture_edge_guard_precedes_allocation(capsysbinary, monkeypatch):
     assert json.loads(out)["chi_f"] == "100/1"
 
 
+# coprime and odd, so 1/P + 1/Q = (P + Q) / (P Q) has 4001 digits over 8001
+P, Q = 10**4000 + 1, 10**4000 + 3
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        (
+            [f"1/{P}", f"1/{Q}"],
+            "row 0 sums to a fraction with a 4001-digit numerator and a 8001-digit denominator, not 1",
+        ),
+        (
+            [f"-1/{P}", f"{P + 1}/{P}"],
+            "row 0 entry a negative fraction with a 1-digit numerator and a 4001-digit denominator outside [0, 1]",
+        ),
+    ],
+    ids=["sum", "entry"],
+)
+def test_a_long_fraction_in_a_mapping_fault_is_named_by_its_digits(capsysbinary, tmp_path, row, message):
+    mapping = write_json(tmp_path, "long_row.json", {"t": 1, "codewords": ["a", "b"], "rows": [row]})
+    code, out, err = run_main(capsysbinary, "leakage-eval", "--graph", "fixture:e1", "--mapping", mapping)
+    assert code == 1 and out == b""
+    error = json.loads(err)
+    jsonschema.validate(error, load_schema("error"))
+    assert error["error"]["code"] == "bad_mapping" and error["error"]["message"] == message
+
+
 def test_answers_past_the_conversion_limit_are_budget_errors(capsysbinary, tmp_path):
     # the leakage has a 5001-digit denominator, though every input part is shorter
     p, q = 10**2500 + 1, 10**2500 + 3

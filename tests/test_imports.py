@@ -17,7 +17,9 @@ when one of their attributes is first read.  The tracer's `vars()` reads
 them, so it still wraps every layer.
 
 Graph-only calls (`alpha`, `info`, `mis`, `product`) must run none of the
-lazy modules, and every public name of the package must still resolve.
+lazy modules, calls that solve no LP (the oracle's seeded trials,
+`leakage-eval`, `merge`) must not run `lp` or `programs`, and every public
+name of the package must still resolve.
 """
 
 import ast
@@ -114,6 +116,30 @@ ran = [name for name in {LAZY!r}
 print(json.dumps([codes, ran, [name for name in ("random", "fractions") if name in sys.modules]]))
 """)
     assert found == [[0] * len(GRAPH_ONLY), [], []]
+
+
+NO_LP = [
+    ["oracle", "multi-guess-floor", "--graph", "fixture:c5", "--t", "2", "--trials", "5"],
+    ["oracle", "merge-closure", "--graph", "fixture:c5", "--trials", "5"],
+    ["leakage-eval", "--graph", "fixture:c5", "--mapping", "MAPPING"],
+    ["merge", "--graph", "fixture:c5", "--mapping", "MAPPING", "0", "2"],
+]
+
+
+def test_calls_without_an_lp_run_neither_lp_nor_programs(tmp_path):
+    # the identity scheme on C5: vertices 0 and 2 are not adjacent, so they merge
+    mapping = tmp_path / "identity.json"
+    rows = [["1/1" if u == v else "0/1" for v in range(5)] for u in range(5)]
+    mapping.write_text(json.dumps({"t": 1, "codewords": [str(v) for v in range(5)], "rows": rows}))
+    calls = [[str(mapping) if arg == "MAPPING" else arg for arg in argv] for argv in NO_LP]
+    found = _probe(f"""
+from zeroleak.cli import main
+codes = [main(argv) for argv in {calls!r}]
+ran = [name for name in ("zeroleak.lp", "zeroleak.programs")
+       if any(not key.startswith("__") for key in object.__getattribute__(sys.modules[name], "__dict__"))]
+print(json.dumps([codes, ran]))
+""")
+    assert found == [[0] * len(NO_LP), []]
 
 
 def test_every_public_name_resolves_to_its_home_object():

@@ -35,7 +35,7 @@ from zeroleak import (
     resolve_fixture,
     validate_mapping,
 )
-from zeroleak import leakage
+from zeroleak import leakage, programs
 from zeroleak.fixtures import fixture_corpus
 from zeroleak.graphs import product_traces, trace_masks
 from zeroleak.programs import min_cover_size
@@ -262,7 +262,7 @@ def _tampered_coloring(**fields):
     ],
 )
 def test_a_broken_certificate_is_an_internal_error(monkeypatch, tampered, message):
-    monkeypatch.setattr(leakage, "fractional_chromatic", tampered)
+    monkeypatch.setattr(programs, "fractional_chromatic", tampered)
     for t in (1, 2):
         with pytest.raises(ZeroleakError) as e:
             optimal_leakage_t(resolve_fixture("c5"), t)

@@ -3,6 +3,7 @@ import json
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zeroleak import (
@@ -17,6 +18,7 @@ from zeroleak import (
     maximal_leakage,
     maximin_eta,
     merge_codewords,
+    mis_of_or_power,
     resolve_fixture,
     rho_fixed_px,
     validate_mapping,
@@ -27,7 +29,10 @@ from zeroleak.jsonio import (
     mapping_from_obj,
     mapping_to_obj,
 )
-from zeroleak.oracle import _first_mergeable_pair
+from zeroleak import oracle
+from zeroleak.errors import ResourceBudgetError
+from zeroleak.oracle import _first_mergeable_pair, verify_mergeability_closure
+from zeroleak.rationals import format_ratio
 from zeroleak.graphs import Graph, and_product, or_power, or_product
 
 settings.register_profile("suite", deadline=None)
@@ -157,6 +162,126 @@ def test_merges_equal_the_fully_checked_mapping(g, t, r, seed):
         assert (m.denominator, m.counts) == (checked.denominator, checked.counts)
         # the carried supports are the masks read off the counts
         assert m.supports == checked.supports
+
+
+def _reference_scheme(g, t, r, rng, duplicate_codebook):
+    """A random scheme dealt the first way: codeword names built per call, `randrange` per unit."""
+    copies = ("#1", "#2") if duplicate_codebook else ("",)
+    names, holders = [], [[] for _ in range(g.vertex_count**t)]
+    for s in mis_of_or_power(g, t):
+        base = "+".join(str(v) for v in s)
+        for copy in copies:
+            for x in s:
+                holders[x].append(len(names))
+            names.append(base + copy)
+    rows = []
+    for containing in holders:
+        counts = [0] * len(names)
+        for _ in range(r):
+            counts[containing[rng.randrange(len(containing))]] += 1
+        rows.append(tuple(counts))
+    return StochasticMapping(t, tuple(names), r, tuple(rows))
+
+
+@settings(max_examples=60)
+@given(graphs(), st.integers(1, 2), st.integers(1, 4), st.booleans(), st.integers(0, 10**6))
+def test_schemes_are_dealt_from_the_reference_stream(g, t, r, duplicate, seed):
+    ours, reference = random.Random(seed), random.Random(seed)
+    for _ in range(2):
+        m = generate_valid_mapping(g, t, r, ours, duplicate)
+        assert m == _reference_scheme(g, t, r, reference, duplicate)
+    assert ours.getstate() == reference.getstate()
+
+
+def test_the_codebook_cache_is_bounded_and_answers_alike():
+    names = ("c5", "c7", "p3", "k3", "petersen", "fig1", "e3")
+    cases = [(resolve_fixture(name), t) for name in names for t in (1, 2)]
+    slots = oracle._codebook.cache_info().maxsize
+    assert len(cases) > slots
+    dealt = [generate_valid_mapping(g, t, 3, random.Random(i), True) for i, (g, t) in enumerate(cases)]
+    assert oracle._codebook.cache_info().currsize <= slots
+    for i, (g, t) in reversed(list(enumerate(cases))):
+        again = generate_valid_mapping(g, t, 3, random.Random(i), True)
+        assert again == dealt[i] == _reference_scheme(g, t, 3, random.Random(i), True)
+    assert oracle._codebook.cache_info().currsize <= slots
+
+
+def test_a_cached_codebook_still_meets_a_smaller_budget(monkeypatch):
+    # C5 at t=2: 25 product sets of up to 4 members, 150 mis_enumeration
+    # units, against 25 * 4 = 100 scheme units
+    c5 = resolve_fixture("c5")
+    generate_valid_mapping(c5, 2, 4, random.Random(0))
+    monkeypatch.setenv("ZEROLEAK_BUDGET", "120")
+    with pytest.raises(ResourceBudgetError) as e:
+        generate_valid_mapping(c5, 2, 4, random.Random(0))
+    assert e.value.detail["budget"] == "mis_enumeration"
+
+
+def _fraction_closure(g, t, trials, seed, r=4):
+    """The merge chain's worst step, merge count and failing trial, in Fractions.
+
+    It calls the oracle module's bindings, so a test that patches them
+    patches both routes.
+    """
+    rng = random.Random(seed)
+    product = or_power(g, t)
+    worst_step, merges = Fraction(0), 0
+    for trial in range(trials):
+        m = generate_valid_mapping(g, t, r, rng, duplicate_codebook=True)
+        value = maximal_leakage(m).log2_of
+        pair = (0, 1)
+        while (pair := _first_mergeable_pair(m, product, pair)) is not None:
+            merged = oracle.merge_codewords(m, m.codewords[pair[0]], m.codewords[pair[1]], g)
+            merged_value = maximal_leakage(merged).log2_of
+            merges += 1
+            worst_step = max(worst_step, merged_value / value)
+            if merged_value > value or not oracle.validate_mapping(merged, g):
+                return worst_step, merges, trial
+            m, value = merged, merged_value
+    return worst_step, merges, None
+
+
+def _sabotaged(kind, at):
+    """Patches for the oracle: its call number `at` to merge_codewords returns
+    the identity scheme, whose leakage is the top one, or to validate_mapping
+    reports a fault."""
+    calls = [0]
+    real = getattr(oracle, kind)
+
+    def patched(m, *args):
+        calls[0] += 1
+        if calls[0] != at:
+            return real(m, *args)
+        if kind == "validate_mapping":
+            return False
+        n = m.source_count
+        identity = tuple(tuple(int(x == y) for y in range(n)) for x in range(n))
+        return StochasticMapping(m.t, tuple(map(str, range(n))), 1, identity)
+
+    return patched
+
+
+@settings(max_examples=60)
+@given(
+    graphs(max_n=4),
+    st.integers(1, 2),
+    st.integers(1, 3),
+    st.integers(0, 10**6),
+    st.sampled_from([None, "merge_codewords", "validate_mapping"]),
+    st.integers(1, 6),
+)
+def test_the_integer_merge_chain_equals_the_fraction_one(g, t, trials, seed, kind, at):
+    routes = []
+    for route in (verify_mergeability_closure, _fraction_closure):
+        with pytest.MonkeyPatch.context() as patch:
+            if kind is not None:
+                patch.setattr(oracle, kind, _sabotaged(kind, at))
+            routes.append(route(g, t, trials, seed))
+    report, (worst_step, merges, failure) = routes
+    assert report["lhs"] == format_ratio(worst_step)
+    assert report["witness"]["merges"] == merges
+    assert report["status"] == ("pass" if failure is None else "fail")
+    assert report["witness"].get("trial") == failure
 
 
 def test_a_merge_reduces_by_the_gcd():
