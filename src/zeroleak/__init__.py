@@ -1,11 +1,14 @@
 """Exact-arithmetic leakage analysis for zero-error source coding over confusion graphs.
 
 The graph layer loads with the package.  `rationals`, `lp`, `programs`,
-`leakage` and `oracle` are registered lazily: each is in `sys.modules` and
-bound here from the start, but its body compiles and runs only when one of
-its attributes is first read, so a graph-only command (`alpha`, `info`,
-`mis`, `product`) never compiles them.  Their public names resolve through
-`__getattr__` on first use.
+`leakage`, `bounds` and `oracle` are registered lazily: each is in
+`sys.modules` and bound here from the start, but its body compiles and runs
+only when one of its attributes is first read, so a graph-only command
+(`alpha`, `info`, `mis`, `product`) never compiles them.  `leakage` holds the
+schemes of the paper's basic model and `bounds` the generalized adversaries'
+bounds; neither imports the other, so a scheme command never compiles the
+bounds and a `bounds-*` command never compiles the schemes.  Their public
+names resolve through `__getattr__` on first use.
 """
 
 import importlib.util
@@ -23,10 +26,11 @@ def _register_lazily(name: str):
 
 # Registered before the eager imports below, which import some of them.  The
 # search in `__getattr__` loads each module it passes, in this order, so a
-# package-level name of `leakage` or `oracle` loads `lp` and `programs` too;
-# the CLI reads the modules themselves and loads only what a command runs.
-_LAZY = tuple(map(_register_lazily, ("rationals", "lp", "programs", "leakage", "oracle")))
-rationals, lp, programs, leakage, oracle = _LAZY
+# package-level name of `leakage`, `bounds` or `oracle` loads `lp` and
+# `programs` too; the CLI reads the modules themselves and loads only what a
+# command runs.
+_LAZY = tuple(map(_register_lazily, ("rationals", "lp", "programs", "leakage", "bounds", "oracle")))
+rationals, lp, programs, leakage, bounds, oracle = _LAZY
 
 from .budget import DEFAULT_ENUMERATION_BUDGET, WorkMeter, enumeration_budget
 from .errors import DomainError, ResourceBudgetError, ZeroleakError

@@ -19,7 +19,7 @@ import re
 import sys
 from types import SimpleNamespace
 
-from . import leakage, oracle, programs, rationals
+from . import bounds, leakage, oracle, programs, rationals
 from .budget import AUTOMORPHISM_VERTEX_CAP
 from .errors import DomainError, ZeroleakError
 from .fixtures import resolve_fixture
@@ -136,16 +136,16 @@ def _cmd_merge(args) -> dict:
 
 
 def _cmd_bounds_multi(args) -> dict:
-    return bounds_to_obj(leakage.multi_guess_bounds(load_graph(args.graph), parse_budget_spec(args.budget)))
+    return bounds_to_obj(bounds.multi_guess_bounds(load_graph(args.graph), parse_budget_spec(args.budget)))
 
 
 def _cmd_bounds_approx(args) -> dict:
-    return bounds_to_obj(leakage.approx_guess_bounds(load_graph(args.graph), load_graph(args.theta)))
+    return bounds_to_obj(bounds.approx_guess_bounds(load_graph(args.graph), load_graph(args.theta)))
 
 
 def _cmd_bounds_multi_approx(args) -> dict:
     return bounds_to_obj(
-        leakage.multi_approx_guess_bounds(
+        bounds.multi_approx_guess_bounds(
             load_graph(args.graph), load_graph(args.theta), parse_budget_spec(args.budget)
         )
     )
@@ -157,7 +157,7 @@ def _cmd_oracle(args) -> dict:
             raise DomainError("usage", f"unknown check {check!r}; choose from: {', '.join(ORACLE_CHECKS)}")
     gamma = load_graph(args.graph) if args.graph else None
     theta = load_graph(args.theta) if args.theta else None
-    budget = parse_budget_spec(args.budget) if args.budget else leakage.GuessBudget.constant(1)
+    budget = parse_budget_spec(args.budget) if args.budget else None
     checks = list(args.check)
     if not checks:
         if gamma is not None:
@@ -180,6 +180,8 @@ def _cmd_oracle(args) -> dict:
             reports.append(oracle.verify_packing_reciprocity(graph, grid))
         elif check == "multi-guess-floor":
             _require_nonempty(graph)
+            if budget is None:  # built here, so that no other check loads `bounds`
+                budget = bounds.GuessBudget.constant(1)
             reports.append(oracle.verify_multi_guess_floor(graph, budget, args.t, args.grid, args.trials, args.seed))
         else:
             reports.append(oracle.verify_mergeability_closure(graph, args.t, args.trials, args.seed))

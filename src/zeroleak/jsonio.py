@@ -9,10 +9,12 @@ better refused than half-read.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from itertools import chain, compress
 from json.encoder import encode_basestring
 
-from . import leakage, rationals
+from . import bounds, leakage, rationals
 from .errors import DomainError
 from .graphs import Graph, MalformedPair, make_graph
 
@@ -192,7 +194,7 @@ def _reject_entry(e):
     raise DomainError("bad_mapping_json", f'probability {e!r} must be a "p/q" string')
 
 
-def bounds_to_obj(report: leakage.BoundsReport) -> dict:
+def bounds_to_obj(report: bounds.BoundsReport) -> dict:
     return {
         "lower": rationals.format_ratio(report.lower.log2_of),
         "upper": rationals.format_ratio(report.upper.log2_of),
@@ -203,17 +205,17 @@ def bounds_to_obj(report: leakage.BoundsReport) -> dict:
     }
 
 
-def parse_budget_spec(text: str) -> leakage.GuessBudget:
+def parse_budget_spec(text: str) -> bounds.GuessBudget:
     """Parse a budget argument: const:c, poly:d, exp:p/q, or table:PATH."""
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
         raise DomainError("bad_budget_spec", f"budget {text!r} must look like kind:value")
     if kind == "const":
-        return leakage.GuessBudget.constant(_parse_int(rest, "constant budget count"))
+        return bounds.GuessBudget.constant(_parse_int(rest, "constant budget count"))
     if kind == "poly":
-        return leakage.GuessBudget.polynomial(_parse_int(rest, "polynomial budget degree"))
+        return bounds.GuessBudget.polynomial(_parse_int(rest, "polynomial budget degree"))
     if kind == "exp":
-        return leakage.GuessBudget.exponential(rationals.parse_ratio(rest))
+        return bounds.GuessBudget.exponential(rationals.parse_ratio(rest))
     if kind == "table":
         obj = load_json_file(rest, "budget table")
         _require_keys(obj, {"values"}, {"growth"}, "budget table", "bad_budget_spec")
@@ -223,7 +225,7 @@ def parse_budget_spec(text: str) -> leakage.GuessBudget:
         growth = obj.get("growth")
         if growth is not None and not isinstance(growth, str):
             raise DomainError("bad_budget_spec", '"growth" must be a "p/q" string or null')
-        return leakage.GuessBudget.table(values, None if growth is None else rationals.parse_ratio(growth))
+        return bounds.GuessBudget.table(values, None if growth is None else rationals.parse_ratio(growth))
     raise DomainError("bad_budget_spec", f"unknown budget kind {kind!r}")
 
 
@@ -231,4 +233,9 @@ def _parse_int(text: str, what: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise DomainError("bad_budget_spec", f"{what} must be an integer, got {text!r}")
+        # the pattern is a subset of what `int` reads, so a text it matches
+        # failed only by being longer than the int-string conversion limit
+        if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text) is None:
+            raise DomainError("bad_budget_spec", f"{what} must be an integer, got {text!r}")
+    limit = sys.get_int_max_str_digits()
+    raise DomainError("bad_budget_spec", f"{what} {text[:24]}... has a part over {limit} digits long")

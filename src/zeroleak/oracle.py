@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from operator import mul, or_
 
-from . import programs
+from . import bounds, programs
 from .budget import WorkMeter, enumeration_budget
 from .errors import DomainError
 from .graphs import (
@@ -32,10 +32,7 @@ from .graphs import (
     or_power,
 )
 from .leakage import (
-    GuessBudget,
     StochasticMapping,
-    _bit_length_bounds,
-    _exceeds,
     _kronecker,
     _require_source_rows,
     merge_codewords,
@@ -342,7 +339,7 @@ def _inadmissible_count(shown: str, alpha: int, t: int) -> DomainError:
 
 def verify_multi_guess_floor(
     gamma: Graph,
-    budget: GuessBudget,
+    budget: bounds.GuessBudget,
     t: int,
     r: int,
     trials: int = 100,
@@ -370,7 +367,7 @@ def verify_multi_guess_floor(
         count = ((t, budget.degree),)
         # a count past _BUILT_COUNT_BITS is named t**d and never built:
         # 3**(10**9) alone would take minutes
-        if _bit_length_bounds(count)[0] > _BUILT_COUNT_BITS and _exceeds(count, ((alpha, t),)):
+        if bounds._bit_length_bounds(count)[0] > _BUILT_COUNT_BITS and bounds._exceeds(count, ((alpha, t),)):
             raise _inadmissible_count(f"={t}**{budget.degree}", alpha, t)
     g = budget.guesses(t)
     if g > alpha**t:

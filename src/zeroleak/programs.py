@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 from .budget import WorkMeter
 from .errors import DomainError
-from .graphs import Graph, Hypergraph, maximal_independent_sets, rank_masks, vertex_mask
+from .graphs import Graph, Hypergraph, _bits, maximal_independent_sets, rank_masks, vertex_mask
 from .lp import LinearProgram, LpSolution, solve_lp
 
 
@@ -129,26 +129,48 @@ def _presolve(width: int, edges):
     """Drop dominated structure without changing the covering optimum.
 
     A hyperedge strictly inside another can always hand its weight to the
-    superset.  A vertex whose incident edges all contain some other vertex is
-    covered whenever that vertex is, so its constraint is implied.  Returns
-    the kept vertices as a mask and the kept edges' indices.
+    superset; equal edges are all kept.  A vertex whose incident edges all
+    contain some other vertex is covered whenever that vertex is, so its
+    constraint is implied; of vertices with the same incident edges, the
+    lowest is kept.  Returns the kept vertices as a mask and the kept edges'
+    indices.
+
+    Both scans are masks, not pairs: the edges holding all of an edge are the
+    AND of its vertices' masks of holding edges, and the vertices a vertex
+    dominates are the AND of the kept edges holding it.
     """
-    keep_edges = [i for i, e in enumerate(edges) if not any(e & f == e != f for f in edges)]
-    incidence = [0] * width
-    for j, i in enumerate(keep_edges):
-        for v in range(width):
-            if edges[i] >> v & 1:
-                incidence[v] |= 1 << j
-    keep_vertices = 0
+    distinct = list(dict.fromkeys(edges))
+    members = list(map(_bits, distinct))
+    holders = [0] * width  # per vertex, the distinct edges holding it, by index into distinct
+    for k, bits in enumerate(members):
+        for v in bits:
+            holders[v] |= 1 << k
+    dropped = set()
+    for k, bits in enumerate(members):
+        supersets = (1 << len(distinct)) - 1
+        for v in bits:
+            supersets &= holders[v]
+        if supersets != 1 << k:
+            dropped.add(distinct[k])
+    keep_edges = [i for i, e in enumerate(edges) if e not in dropped]
+
+    vertices = (1 << width) - 1
+    incidence = [0] * width  # per vertex, the kept distinct edges holding it
+    inside = [vertices] * width  # per vertex, the vertices of every kept edge holding it
+    for k, (e, bits) in enumerate(zip(distinct, members)):
+        if e not in dropped:
+            for v in bits:
+                incidence[v] |= 1 << k
+                inside[v] &= e
+    alike: dict[int, int] = {}  # per incidence, the vertices that have it
     for v, mine in enumerate(incidence):
-        dominated = any(
-            other & mine == other and (other != mine or w < v)
-            for w, other in enumerate(incidence)
-            if w != v
-        )
-        if not dominated:
-            keep_vertices |= 1 << v
-    return keep_vertices, keep_edges
+        alike[mine] = alike.get(mine, 0) | 1 << v
+    dominated = 0
+    for w, mine in enumerate(incidence):
+        same = alike[mine]
+        # w dominates the vertices with strictly more edges, and its equals above it
+        dominated |= inside[w] & ~same | same & -(2 << w)
+    return vertices & ~dominated, keep_edges
 
 
 def _kf_lp(edges: tuple[int, ...], kf_cache: dict):

@@ -6,8 +6,10 @@ inner representations are fraction-free instead: the simplex dictionary
 (its nonbasic columns only, with no slack identity) and stochastic mappings
 hold integers over one common denominator and hand out Fractions only at
 their edges.  This module adds the wire format ("p/q"
-strings), the display-only bits rendering, and the one step that puts a list
-of fractions over their least common denominator.
+strings), the display-only bits rendering, the one step that puts a list
+of fractions over their least common denominator, and `LeakageValue`, the
+leakage stated as the rational it is the log2 of, which both the schemes
+(`leakage`) and the adversary bounds (`bounds`) return.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import sys
 from fractions import Fraction
 
 from .errors import DomainError, ResourceBudgetError
+from .values import FrozenValue
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
 
@@ -55,14 +58,17 @@ def _decimal_digits(x: int) -> int:
     return k + 1
 
 
-def _shown_in_message(value: Fraction, show=str) -> str:
+def _shown_in_message(value: Fraction | int, show=str) -> str:
     """`show(value)` for an error message, unless a part of value has over 100
-    digits: then its parts are named by their digit counts, which also keeps
-    the message clear of the int-string conversion limit."""
+    digits: then an integer is named by its digit count and a fraction's parts
+    by theirs, which also keeps the message clear of the int-string conversion
+    limit."""
     p, q = value.numerator, value.denominator
     if abs(p) < 10**100 and q < 10**100:
         return show(value)
     sign = "a negative" if p < 0 else "a"
+    if isinstance(value, int):
+        return f"{sign} {_decimal_digits(abs(p))}-digit integer"
     return (
         f"{sign} fraction with a {_decimal_digits(abs(p))}-digit numerator"
         f" and a {_decimal_digits(q)}-digit denominator"
@@ -95,3 +101,17 @@ def bits_display(value: Fraction) -> float:
     if value <= 0:
         raise DomainError("bad_log_argument", f"log2 argument must be positive, got {value}")
     return round(math.log2(value.numerator) - math.log2(value.denominator), 12)
+
+
+class LeakageValue(FrozenValue):
+    """A leakage stated as the exact rational it is the log2 of."""
+
+    log2_of: Fraction
+
+    def __post_init__(self):
+        if not isinstance(self.log2_of, Fraction) or self.log2_of < 1:
+            raise DomainError("bad_leakage_value", f"leakage must be log2 of a rational >= 1, got {self.log2_of!r}")
+
+    @property
+    def bits(self) -> float:
+        return bits_display(self.log2_of)

@@ -886,6 +886,49 @@ def test_a_long_fraction_in_a_mapping_fault_is_named_by_its_digits(capsysbinary,
     assert error["error"]["code"] == "bad_mapping" and error["error"]["message"] == message
 
 
+NINES_1000, NINES_5000 = "9" * 1000, "9" * 5000
+LIMIT = sys.get_int_max_str_digits()
+BASE_1000 = (
+    "exponential budget needs a rational base >= 1,"
+    " got a fraction with a 1-digit numerator and a 1000-digit denominator"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, table, code, message",
+    [
+        (("bounds-multi", "--graph", "fixture:c5"), f"exp:1/{NINES_1000}", "bad_budget", BASE_1000),
+        (("bounds-multi-approx", "--graph", "fixture:c5", "--theta", "fixture:c5"), f"exp:1/{NINES_1000}",
+         "bad_budget", BASE_1000),
+        (("oracle", "multi-guess-floor", "--graph", "fixture:c5"), f"exp:1/{NINES_1000}", "bad_budget", BASE_1000),
+        (("bounds-multi", "--graph", "fixture:c5"), {"values": [1, -(10**4000)]},
+         "bad_budget", "table entries must be integers >= 1, got a negative 4001-digit integer"),
+        (("bounds-multi", "--graph", "fixture:c5"), f"const:{NINES_5000}",
+         "bad_budget_spec", f"constant budget count {'9' * 24}... has a part over {LIMIT} digits long"),
+        (("bounds-multi", "--graph", "fixture:c5"), f"poly:{NINES_5000}",
+         "bad_budget_spec", f"polynomial budget degree {'9' * 24}... has a part over {LIMIT} digits long"),
+        # numbers of up to 100 digits are printed as they always were
+        (("bounds-multi", "--graph", "fixture:c5"), "exp:1/3",
+         "bad_budget", "exponential budget needs a rational base >= 1, got Fraction(1, 3)"),
+        (("bounds-multi", "--graph", "fixture:c5"), f"const:-{NINES_1000[:100]}",
+         "bad_budget", f"constant budget needs a count >= 1, got -{NINES_1000[:100]}"),
+        (("bounds-multi", "--graph", "fixture:c5"), {"values": [1], "growth": f"1/{NINES_1000[:100]}"},
+         "bad_budget", f"declared growth must be a rational >= 1, got Fraction(1, {NINES_1000[:100]})"),
+        (("bounds-multi", "--graph", "fixture:c5"), "const:1.5",
+         "bad_budget_spec", "constant budget count must be an integer, got '1.5'"),
+    ],
+    ids=["exp-multi", "exp-multi-approx", "exp-floor", "table", "const", "poly",
+         "short-exp", "short-const", "short-growth", "not-an-integer"],
+)
+def test_budget_messages_name_long_numbers_by_their_size(capsysbinary, tmp_path, argv, table, code, message):
+    budget = table if isinstance(table, str) else "table:" + write_json(tmp_path, "table.json", table)
+    exit_code, out, err = run_main(capsysbinary, *argv, "--budget", budget)
+    assert exit_code == 1 and out == b""
+    error = json.loads(err)
+    jsonschema.validate(error, load_schema("error"))
+    assert error["error"]["code"] == code and error["error"]["message"] == message
+
+
 def test_answers_past_the_conversion_limit_are_budget_errors(capsysbinary, tmp_path):
     # the leakage has a 5001-digit denominator, though every input part is shorter
     p, q = 10**2500 + 1, 10**2500 + 3

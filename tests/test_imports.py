@@ -11,15 +11,18 @@ the shipped fixtures do not need to be read, nor `argparse` and the
 `gettext` it pulls in, which the CLI's own table parser replaces.  It must
 still load every module that the benchmark's tracer assigns a layer, because
 the tracer wraps only the functions of modules in `sys.modules` by then.
-Here "loaded" means registered: `rationals`, `lp`, `programs`, `leakage` and
-`oracle` are lazy modules, in `sys.modules` from the start, whose bodies run
-when one of their attributes is first read.  The tracer's `vars()` reads
-them, so it still wraps every layer.
+Here "loaded" means registered: the modules that `zeroleak/__init__.py`
+registers in its `_LAZY` tuple (`rationals`, `lp`, `programs`, `leakage`,
+`bounds` and `oracle`) are lazy modules, in `sys.modules` from the start,
+whose bodies run when one of their attributes is first read.  The tracer's
+`vars()` reads them, so it still wraps every layer.
 
 Graph-only calls (`alpha`, `info`, `mis`, `product`) must run none of the
 lazy modules, calls that solve no LP (the oracle's seeded trials,
-`leakage-eval`, `merge`) must not run `lp` or `programs`, and every public
-name of the package must still resolve.
+`leakage-eval`, `merge`) must not run `lp` or `programs`, the `bounds-*`
+calls must not run `leakage`, the scheme calls and the oracle checks other
+than the multi-guess floor must not run `bounds`, and every public name of
+the package must still resolve.
 """
 
 import ast
@@ -89,7 +92,17 @@ def test_cli_import_is_light_and_eager():
     assert traced and [name for name in traced if name not in loaded] == []
 
 
-LAZY = ("zeroleak.rationals", "zeroleak.lp", "zeroleak.programs", "zeroleak.leakage", "zeroleak.oracle")
+def _lazy_modules() -> tuple:
+    # the names in the tuple literal of `_LAZY = tuple(map(_register_lazily, (...)))`
+    tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_LAZY" for t in node.targets):
+            names = next(ast.literal_eval(n) for n in ast.walk(node.value) if isinstance(n, ast.Tuple))
+            return tuple(f"zeroleak.{name}" for name in names)
+    raise AssertionError("zeroleak/__init__.py has no _LAZY")
+
+
+LAZY = _lazy_modules()
 GRAPH_ONLY = [
     ["alpha", "--graph", "fixture:c5"],
     ["info", "--graph", "fixture:petersen"],
@@ -105,17 +118,28 @@ def _probe(code: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_graph_only_calls_run_no_lazy_module():
-    # a lazy module's own __dict__, read without loading it, holds only the
-    # dunder names of its spec until its body runs
-    found = _probe(f"""
+def _run(calls, watched, stdlib=()):
+    """Exit codes of CLI calls made in one fresh interpreter, the watched lazy
+    modules whose bodies ran, and the stdlib modules of `stdlib` loaded.
+
+    A lazy module's own __dict__, read without loading it, holds only the
+    dunder names of its spec until its body runs.
+    """
+    return _probe(f"""
 from zeroleak.cli import main
-codes = [main(argv) for argv in {GRAPH_ONLY!r}]
-ran = [name for name in {LAZY!r}
+codes = [main(argv) for argv in {calls!r}]
+ran = [name for name in {tuple(watched)!r}
        if any(not key.startswith("__") for key in object.__getattribute__(sys.modules[name], "__dict__"))]
-print(json.dumps([codes, ran, [name for name in ("random", "fractions") if name in sys.modules]]))
+print(json.dumps([codes, ran, [name for name in {tuple(stdlib)!r} if name in sys.modules]]))
 """)
-    assert found == [[0] * len(GRAPH_ONLY), [], []]
+
+
+def test_the_lazy_modules_are_read_off_the_package():
+    assert LAZY[0] == "zeroleak.rationals" and {"zeroleak.leakage", "zeroleak.bounds"} <= set(LAZY)
+
+
+def test_graph_only_calls_run_no_lazy_module():
+    assert _run(GRAPH_ONLY, LAZY, ("random", "fractions")) == [[0] * len(GRAPH_ONLY), [], []]
 
 
 NO_LP = [
@@ -126,20 +150,43 @@ NO_LP = [
 ]
 
 
-def test_calls_without_an_lp_run_neither_lp_nor_programs(tmp_path):
-    # the identity scheme on C5: vertices 0 and 2 are not adjacent, so they merge
+BOUNDS = [
+    ["bounds-multi", "--graph", "fixture:c5", "--budget", "exp:2/1"],
+    ["bounds-approx", "--graph", "fixture:fig1", "--theta", "fixture:fig1_theta"],
+    ["bounds-multi-approx", "--graph", "fixture:c5", "--theta", "fixture:c5", "--budget", "const:1"],
+]
+SCHEMES = [
+    ["leakage-optimal", "--graph", "fixture:c5", "--t", "2"],
+    ["leakage-eval", "--graph", "fixture:c5", "--mapping", "MAPPING"],
+    ["merge", "--graph", "fixture:c5", "--mapping", "MAPPING", "0", "2"],
+    ["scheme", "--graph", "fixture:c5"],
+    ["oracle", "duality", "--graph", "fixture:c5"],
+    ["oracle", "merge-closure", "--graph", "fixture:c5", "--trials", "5"],
+]
+
+
+@pytest.fixture
+def with_mapping(tmp_path):
+    """Calls with MAPPING replaced by the identity scheme on C5, whose
+    codewords 0 and 2 merge: those vertices are not adjacent."""
     mapping = tmp_path / "identity.json"
     rows = [["1/1" if u == v else "0/1" for v in range(5)] for u in range(5)]
     mapping.write_text(json.dumps({"t": 1, "codewords": [str(v) for v in range(5)], "rows": rows}))
-    calls = [[str(mapping) if arg == "MAPPING" else arg for arg in argv] for argv in NO_LP]
-    found = _probe(f"""
-from zeroleak.cli import main
-codes = [main(argv) for argv in {calls!r}]
-ran = [name for name in ("zeroleak.lp", "zeroleak.programs")
-       if any(not key.startswith("__") for key in object.__getattribute__(sys.modules[name], "__dict__"))]
-print(json.dumps([codes, ran]))
-""")
-    assert found == [[0] * len(NO_LP), []]
+    return lambda calls: [[str(mapping) if arg == "MAPPING" else arg for arg in argv] for argv in calls]
+
+
+def test_calls_without_an_lp_run_neither_lp_nor_programs(with_mapping):
+    found = _run(with_mapping(NO_LP), ("zeroleak.lp", "zeroleak.programs"))
+    assert found == [[0] * len(NO_LP), [], []]
+
+
+def test_bounds_calls_run_no_scheme_code():
+    assert _run(BOUNDS, ("zeroleak.leakage",)) == [[0] * len(BOUNDS), [], []]
+
+
+def test_scheme_calls_run_no_bounds_code(with_mapping):
+    found = _run(with_mapping(SCHEMES), ("zeroleak.bounds",))
+    assert found == [[0] * len(SCHEMES), [], []]
 
 
 def test_every_public_name_resolves_to_its_home_object():

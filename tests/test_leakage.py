@@ -35,7 +35,7 @@ from zeroleak import (
     resolve_fixture,
     validate_mapping,
 )
-from zeroleak import leakage, programs
+from zeroleak import bounds, programs
 from zeroleak.fixtures import fixture_corpus
 from zeroleak.graphs import product_traces, trace_masks
 from zeroleak.programs import min_cover_size
@@ -485,12 +485,12 @@ def test_the_polynomial_screen_equals_the_exact_loop():
             beta = Fraction(p, q)
             for d in range(9):
                 exact = d == 0 or (beta > 1 and _exact_polynomial_screen(beta.numerator, beta.denominator, d))
-                assert leakage._budget_fits(GuessBudget.polynomial(d), beta, None) == exact, (p, q, d)
+                assert bounds._budget_fits(GuessBudget.polynomial(d), beta, None) == exact, (p, q, d)
     rng = random.Random(3)
     for _ in range(2000):
         sides = [[(rng.randint(1, 9), rng.randint(0, 12)) for _ in range(rng.randint(1, 3))] for _ in range(2)]
         left, right = (math.prod(b**e for b, e in side) for side in sides)
-        assert leakage._exceeds(*sides) == (left > right), sides
+        assert bounds._exceeds(*sides) == (left > right), sides
 
 
 def test_multi_guess_bounds_exponential_budget():

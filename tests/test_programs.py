@@ -3,6 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from zeroleak import (
     DomainError,
@@ -302,3 +303,43 @@ def test_packing_empty_graph():
 def test_packing_on_k22_fixture_helper():
     # closed neighborhoods in K_{2,2} are 3-sets; symmetric optimum 4/3
     assert fractional_packing(k22()).value == Fraction(4, 3)
+
+
+def _presolve_by_pairs(width, edges):
+    # the presolve as quadratic scans over pairs of edges and of vertices
+    keep_edges = [i for i, e in enumerate(edges) if not any(e & f == e != f for f in edges)]
+    incidence = [0] * width
+    for j, i in enumerate(keep_edges):
+        for v in range(width):
+            if edges[i] >> v & 1:
+                incidence[v] |= 1 << j
+    keep_vertices = 0
+    for v, mine in enumerate(incidence):
+        dominated = any(
+            other & mine == other and (other != mine or w < v)
+            for w, other in enumerate(incidence)
+            if w != v
+        )
+        if not dominated:
+            keep_vertices |= 1 << v
+    return keep_vertices, keep_edges
+
+
+@st.composite
+def _covering_instances(draw):
+    width = draw(st.integers(min_value=0, max_value=9))
+    masks = st.integers(min_value=0, max_value=(1 << width) - 1)
+    edges = draw(st.lists(masks, max_size=10))
+    # repeated edges, which the presolve must keep together
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    return width, tuple(draw(st.permutations(edges + repeats)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_covering_instances())
+@example((3, (0b011, 0b011, 0b001)))  # a duplicated superset
+@example((3, (0, 0, 0b100)))  # empty edges, and vertices in no edge
+@example((4, (0b0011, 0b1100, 0b0011, 0b1100)))  # vertices with equal incidence
+def test_the_presolve_by_masks_equals_the_scans_by_pairs(case):
+    width, edges = case
+    assert programs._presolve(width, edges) == _presolve_by_pairs(width, edges)

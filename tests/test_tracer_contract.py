@@ -62,9 +62,10 @@ def test_traced_calls_report_every_declared_per_layer_metric(tmp_path):
         (CALLS[0], "programs.fractional_chromatic", {"mis_enumeration": 9, "lp_pivots": 5}),
         (CALLS[1], "leakage.optimal_leakage_t", {"mis_enumeration": 9, "lp_pivots": 5}),
         (CALLS[2], "lp.solve_lp", {"mis_enumeration": 10, "set_cover_search": 1, "lp_pivots": 10}),
+        (CALLS[2], "bounds.multi_approx_guess_bounds", {"mis_enumeration": 10, "set_cover_search": 1, "lp_pivots": 10}),
         (CALLS[3], "oracle.verify_mergeability_closure", {"mis_enumeration": 9}),
     ],
-    ids=["chif_lp", "chif_programs", "leakage_optimal", "bounds_multi_approx", "merge_closure"],
+    ids=["chif_lp", "chif_programs", "leakage_optimal", "bounds_multi_approx", "bounds_module", "merge_closure"],
 )
 def test_the_tracer_times_every_lazily_loaded_layer(tmp_path, argv, key, units):
     # the layers load on first use, inside the tracer's install(); their

@@ -13,15 +13,11 @@ from fractions import Fraction
 import pytest
 
 from zeroleak.graphs import Graph, Hypergraph, VertexSetFamily
-from zeroleak.leakage import (
-    BoundsReport,
-    GuessBudget,
-    LeakageValue,
-    StochasticMapping,
-    ValidationReport,
-)
+from zeroleak.bounds import BoundsReport, GuessBudget
+from zeroleak.leakage import StochasticMapping, ValidationReport
 from zeroleak.lp import LinearProgram, LpSolution
 from zeroleak.oracle import DistributionGrid, GuessFamily
+from zeroleak.rationals import LeakageValue
 
 F = Fraction
 HALF = F(1, 2)
