@@ -1,14 +1,17 @@
 """Exact-arithmetic leakage analysis for zero-error source coding over confusion graphs.
 
-The graph layer loads with the package.  `rationals`, `lp`, `programs`,
-`leakage`, `bounds` and `oracle` are registered lazily: each is in
-`sys.modules` and bound here from the start, but its body compiles and runs
-only when one of its attributes is first read, so a graph-only command
-(`alpha`, `info`, `mis`, `product`) never compiles them.  `leakage` holds the
-schemes of the paper's basic model and `bounds` the generalized adversaries'
-bounds; neither imports the other, so a scheme command never compiles the
-bounds and a `bounds-*` command never compiles the schemes.  Their public
-names resolve through `__getattr__` on first use.
+The graph layer (`budget`, `errors`, `fixtures`, `graphs`) loads with the
+package.  `rationals`, `lp`, `programs`, `leakage`, `bounds` and `oracle`
+are registered lazily: each is in `sys.modules` and bound here from the
+start, but its body compiles and runs only when one of its attributes is
+first read, so a graph-only command (`alpha`, `info`, `mis`, `product`)
+never compiles them.  `leakage` holds the schemes of the paper's basic
+model and `bounds` the generalized adversaries' bounds; neither imports the
+other, so a scheme command never compiles the bounds and a `bounds-*`
+command never compiles the schemes.  `_HOME` names the module of each
+public name, and `__getattr__` reads the name off that module alone on
+first use, so a package-level name runs its home module and what that
+module imports, nothing else.
 """
 
 import importlib.util
@@ -24,113 +27,88 @@ def _register_lazily(name: str):
     return module
 
 
-# Registered before the eager imports below, which import some of them.  The
-# search in `__getattr__` loads each module it passes, in this order, so a
-# package-level name of `leakage`, `bounds` or `oracle` loads `lp` and
-# `programs` too; the CLI reads the modules themselves and loads only what a
-# command runs.
-_LAZY = tuple(map(_register_lazily, ("rationals", "lp", "programs", "leakage", "bounds", "oracle")))
-rationals, lp, programs, leakage, bounds, oracle = _LAZY
-
-from .budget import DEFAULT_ENUMERATION_BUDGET, WorkMeter, enumeration_budget
-from .errors import DomainError, ResourceBudgetError, ZeroleakError
-from .fixtures import fixture_corpus, resolve_fixture
-from .graphs import (
-    Graph,
-    Hypergraph,
-    VertexSetFamily,
-    adjacency,
-    and_power,
-    and_product,
-    associated_hypergraph,
-    closed_neighborhood,
-    decode_index,
-    encode_symbols,
-    independence_number,
-    is_vertex_transitive,
-    make_family,
-    make_graph,
-    make_hypergraph,
-    maximal_independent_sets,
-    mis_of_or_power,
-    or_power,
-    or_product,
+# Registered before the graph layer is imported, since some of it imports them.
+rationals, lp, programs, leakage, bounds, oracle = map(
+    _register_lazily, ("rationals", "lp", "programs", "leakage", "bounds", "oracle")
 )
+
+from . import budget, errors, fixtures, graphs
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundsReport",
-    "DEFAULT_ENUMERATION_BUDGET",
-    "DistributionGrid",
-    "DomainError",
-    "FoldedColoring",
-    "Graph",
-    "GuessBudget",
-    "GuessFamily",
-    "Hypergraph",
-    "LeakageValue",
-    "OptimalLeakage",
-    "ResourceBudgetError",
-    "StochasticMapping",
-    "ValidationReport",
-    "VertexSetFamily",
-    "WorkMeter",
-    "ZeroleakError",
-    "adjacency",
-    "and_power",
-    "and_product",
-    "approx_guess_bounds",
-    "associated_hypergraph",
-    "b_fold_coloring_from_weights",
-    "bits_display",
-    "closed_neighborhood",
-    "covering_number",
-    "decode_index",
-    "distribution_grid",
-    "encode_symbols",
-    "enumeration_budget",
-    "fixture_corpus",
-    "format_ratio",
-    "fractional_chromatic",
-    "fractional_covering",
-    "fractional_packing",
-    "generate_valid_mapping",
-    "independence_number",
-    "is_vertex_transitive",
-    "leakage_rate",
-    "make_family",
-    "make_graph",
-    "make_hypergraph",
-    "make_mapping",
-    "maximal_independent_sets",
-    "maximal_leakage",
-    "maximin_eta",
-    "merge_codewords",
-    "mis_of_or_power",
-    "multi_approx_guess_bounds",
-    "multi_guess_bounds",
-    "optimal_leakage_t",
-    "optimal_scalar_mapping",
-    "or_power",
-    "or_product",
-    "parse_ratio",
-    "resolve_fixture",
-    "rho_fixed_px",
-    "validate_mapping",
-    "verify_eta_duality",
-    "verify_mergeability_closure",
-    "verify_multi_guess_floor",
-    "verify_packing_reciprocity",
-    "worst_case_rho",
-]
+# each public name and the module it is read from
+_HOME = {
+    "BoundsReport": bounds,
+    "DEFAULT_ENUMERATION_BUDGET": budget,
+    "DistributionGrid": oracle,
+    "DomainError": errors,
+    "FoldedColoring": leakage,
+    "Graph": graphs,
+    "GuessBudget": bounds,
+    "GuessFamily": oracle,
+    "Hypergraph": graphs,
+    "LeakageValue": rationals,
+    "OptimalLeakage": leakage,
+    "ResourceBudgetError": errors,
+    "StochasticMapping": leakage,
+    "ValidationReport": leakage,
+    "VertexSetFamily": graphs,
+    "WorkMeter": budget,
+    "ZeroleakError": errors,
+    "adjacency": graphs,
+    "and_power": graphs,
+    "and_product": graphs,
+    "approx_guess_bounds": bounds,
+    "associated_hypergraph": graphs,
+    "b_fold_coloring_from_weights": leakage,
+    "bits_display": rationals,
+    "closed_neighborhood": graphs,
+    "covering_number": programs,
+    "decode_index": graphs,
+    "distribution_grid": oracle,
+    "encode_symbols": graphs,
+    "enumeration_budget": budget,
+    "fixture_corpus": fixtures,
+    "format_ratio": rationals,
+    "fractional_chromatic": programs,
+    "fractional_covering": programs,
+    "fractional_packing": programs,
+    "generate_valid_mapping": oracle,
+    "independence_number": graphs,
+    "is_vertex_transitive": graphs,
+    "leakage_rate": leakage,
+    "make_family": graphs,
+    "make_graph": graphs,
+    "make_hypergraph": graphs,
+    "make_mapping": leakage,
+    "maximal_independent_sets": graphs,
+    "maximal_leakage": leakage,
+    "maximin_eta": programs,
+    "merge_codewords": leakage,
+    "mis_of_or_power": graphs,
+    "multi_approx_guess_bounds": bounds,
+    "multi_guess_bounds": bounds,
+    "optimal_leakage_t": leakage,
+    "optimal_scalar_mapping": leakage,
+    "or_power": graphs,
+    "or_product": graphs,
+    "parse_ratio": rationals,
+    "resolve_fixture": fixtures,
+    "rho_fixed_px": oracle,
+    "validate_mapping": leakage,
+    "verify_eta_duality": oracle,
+    "verify_mergeability_closure": oracle,
+    "verify_multi_guess_floor": oracle,
+    "verify_packing_reciprocity": oracle,
+    "worst_case_rho": oracle,
+}
+
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):
-    """A public name of a lazy module, loading the modules searched."""
-    if name in __all__:
-        for module in _LAZY:
-            if hasattr(module, name):
-                globals()[name] = value = getattr(module, name)
-                return value
+    """A public name, read off its home module and kept here."""
+    if name in _HOME:
+        globals()[name] = value = getattr(_HOME[name], name)
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

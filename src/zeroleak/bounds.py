@@ -48,10 +48,11 @@ class BoundsReport(FrozenValue):
             raise DomainError("bad_bounds", "tight flag must mirror lower == upper")
 
 
-def _shown(value) -> str:
-    """repr(value) for a `bad_budget` message, but a number with a part of
-    over 100 digits is named by its size (`rationals._shown_in_message`)."""
-    return _shown_in_message(value, repr) if isinstance(value, (int, Fraction)) else repr(value)
+def _need(ok: bool, what: str, value) -> None:
+    """A `bad_budget` error saying what a budget needs and the value it got,
+    named by its size when long (`rationals._shown_in_message`), unless ok."""
+    if not ok:
+        raise DomainError("bad_budget", f"{what}, got {_shown_in_message(value, repr)}")
 
 
 class GuessBudget(FrozenValue):
@@ -71,26 +72,22 @@ class GuessBudget(FrozenValue):
 
     def __post_init__(self):
         if self.kind == "constant":
-            if not isinstance(self.count, int) or self.count < 1:
-                raise DomainError("bad_budget", f"constant budget needs a count >= 1, got {_shown(self.count)}")
+            _need(isinstance(self.count, int) and self.count >= 1, "constant budget needs a count >= 1", self.count)
         elif self.kind == "polynomial":
-            if not isinstance(self.degree, int) or self.degree < 0:
-                raise DomainError("bad_budget", f"polynomial budget needs a degree >= 0, got {_shown(self.degree)}")
+            ok = isinstance(self.degree, int) and self.degree >= 0
+            _need(ok, "polynomial budget needs a degree >= 0", self.degree)
         elif self.kind == "exponential":
-            if not isinstance(self.base, Fraction) or self.base < 1:
-                raise DomainError(
-                    "bad_budget", f"exponential budget needs a rational base >= 1, got {_shown(self.base)}"
-                )
+            ok = isinstance(self.base, Fraction) and self.base >= 1
+            _need(ok, "exponential budget needs a rational base >= 1", self.base)
         elif self.kind == "table":
             if not self.values:
                 raise DomainError("bad_budget", "table budget needs at least one value")
             for g in self.values:
-                if not isinstance(g, int) or g < 1:
-                    raise DomainError("bad_budget", f"table entries must be integers >= 1, got {_shown(g)}")
-            if self.growth is not None and (not isinstance(self.growth, Fraction) or self.growth < 1):
-                raise DomainError("bad_budget", f"declared growth must be a rational >= 1, got {_shown(self.growth)}")
+                _need(isinstance(g, int) and g >= 1, "table entries must be integers >= 1", g)
+            ok = self.growth is None or isinstance(self.growth, Fraction) and self.growth >= 1
+            _need(ok, "declared growth must be a rational >= 1", self.growth)
         else:
-            raise DomainError("bad_budget", f"unknown budget kind {self.kind!r}")
+            raise DomainError("bad_budget", f"unknown budget kind {_shown_in_message(self.kind, repr)}")
 
     @classmethod
     def constant(cls, count: int) -> "GuessBudget":
@@ -200,6 +197,20 @@ def _bit_length_bounds(factors) -> tuple[int, int]:
     return lo - len(factors) + 1, hi
 
 
+def _sigma_is_zero(budget: GuessBudget, provenance: list) -> bool:
+    """Whether budget grows subexponentially; a table budget with no declared
+    growth counts as growing, with a note in provenance."""
+    try:
+        return budget.sigma_is_zero()
+    except DomainError:
+        provenance.append(("growth", "undeclared_table_growth"))
+        return False
+
+
+def _report(lower: Fraction, upper: Fraction, provenance: list) -> BoundsReport:
+    return BoundsReport(LeakageValue(lower), LeakageValue(upper), lower == upper, tuple(provenance))
+
+
 def _require_same_vertices(gamma: Graph, theta: Graph) -> None:
     if gamma.vertex_count != theta.vertex_count or gamma.labels != theta.labels:
         raise DomainError(
@@ -226,12 +237,7 @@ def multi_guess_bounds(gamma: Graph, budget: GuessBudget) -> BoundsReport:
         )
     chi = programs.fractional_chromatic(gamma).value
     provenance: list[tuple[str, str]] = []
-    try:
-        sigma_zero = budget.sigma_is_zero()
-    except DomainError:
-        sigma_zero = False
-        provenance.append(("growth", "undeclared_table_growth"))
-    if sigma_zero:
+    if _sigma_is_zero(budget, provenance):
         lower = chi
         provenance.append(("lower", "single_guess_equivalence_sigma_zero"))
     else:
@@ -240,12 +246,7 @@ def multi_guess_bounds(gamma: Graph, budget: GuessBudget) -> BoundsReport:
     provenance.append(("upper", "fractional_chromatic"))
     if n <= AUTOMORPHISM_VERTEX_CAP and is_vertex_transitive(gamma):
         provenance.append(("structure", "vertex_transitive"))
-    return BoundsReport(
-        LeakageValue(lower),
-        LeakageValue(chi),
-        lower == chi,
-        tuple(provenance),
-    )
+    return _report(lower, chi, provenance)
 
 
 def _base_trace_families(gamma: Graph, theta: Graph) -> list[tuple[int, tuple[int, ...]]]:
@@ -254,7 +255,7 @@ def _base_trace_families(gamma: Graph, theta: Graph) -> list[tuple[int, tuple[in
 
 
 def _max_fractional_covering(families, kf_cache: dict) -> Fraction:
-    return max(programs.fractional_cover((1 << w) - 1, masks, range(w), kf_cache)[0] for w, masks in families)
+    return max(programs.fractional_cover(masks, kf_cache)[0] for _, masks in families)
 
 
 def _approx_guess_sides(
@@ -281,8 +282,7 @@ def approx_guess_bounds(gamma: Graph, theta: Graph) -> BoundsReport:
     _require_same_vertices(gamma, theta)
     packing = programs.fractional_packing(theta).value
     kf_max = _max_fractional_covering(_base_trace_families(gamma, theta), {})
-    lower, chi, provenance = _approx_guess_sides(gamma, packing, kf_max)
-    return BoundsReport(LeakageValue(lower), LeakageValue(chi), lower == chi, tuple(provenance))
+    return _report(*_approx_guess_sides(gamma, packing, kf_max))
 
 
 def multi_approx_guess_bounds(gamma: Graph, theta: Graph, budget: GuessBudget) -> BoundsReport:
@@ -317,8 +317,7 @@ def multi_approx_guess_bounds(gamma: Graph, theta: Graph, budget: GuessBudget) -
         meter.spend(_capped_power(len(distinct), t, limit) * t)
         best = 0
         for combo in itertools.combinations_with_replacement(distinct, t):
-            width, masks = product_traces(combo)
-            best = max(best, programs.min_cover_size((1 << width) - 1, masks, range(width), kf_cache))
+            best = max(best, programs.min_cover_size(*product_traces(combo), kf_cache))
         return best
 
     if not _budget_fits(budget, kf_max, cap_at):
@@ -328,9 +327,6 @@ def multi_approx_guess_bounds(gamma: Graph, theta: Graph, budget: GuessBudget) -
         )
     packing = programs.fractional_packing(theta).value
     lower, chi, provenance = _approx_guess_sides(gamma, packing, kf_max)
-    try:
-        if budget.sigma_is_zero():
-            provenance.append(("budget", "collapses_to_single_approx_guess"))
-    except DomainError:
-        provenance.append(("growth", "undeclared_table_growth"))
-    return BoundsReport(LeakageValue(lower), LeakageValue(chi), lower == chi, tuple(provenance))
+    if _sigma_is_zero(budget, provenance):
+        provenance.append(("budget", "collapses_to_single_approx_guess"))
+    return _report(lower, chi, provenance)

@@ -21,6 +21,8 @@ checks the size of its integer counts as their common denominator grows,
 (`scheme_units`),
 `optimal_leakage_t` checks its witness's cells, sequences times codewords,
 against `witness_cells` before it builds anything on the OR power,
+`decode_index` checks its t symbols (`sequence_symbols`) and the singleton
+and multi-guess families their |V|**t sequences (`guess_family`),
 the parametric fixtures c<n>, k<n> and p<n> check their edge count
 (`fixture_edges`) before listing the edges, and the seeded oracle checks
 check their trial count (`oracle_trials`) before their trial loops.
@@ -51,17 +53,9 @@ def enumeration_budget() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise DomainError(
-            "bad_budget_env",
-            f"{_ENV_VAR} must be a positive integer, got {raw!r}",
-            {"value": raw},
-        )
+        value = 0
     if value <= 0:
-        raise DomainError(
-            "bad_budget_env",
-            f"{_ENV_VAR} must be a positive integer, got {raw!r}",
-            {"value": raw},
-        )
+        raise DomainError("bad_budget_env", f"{_ENV_VAR} must be a positive integer, got {raw!r}", {"value": raw})
     return value
 
 

@@ -280,7 +280,8 @@ SCHEMA_BY_SUBCOMMAND = {name: row[2] for name, row in _SUBCOMMANDS.items()}
 
 def _invalid_choice(what: str, value: str, choices) -> DomainError:
     listed = ", ".join(map(repr, choices))
-    return DomainError("usage", f"argument {what}: invalid choice: {value!r} (choose from {listed})")
+    shown = rationals._shown_in_message(value, repr)
+    return DomainError("usage", f"argument {what}: invalid choice: {shown} (choose from {listed})")
 
 
 def _read_token(token: str, flags: dict):
@@ -381,7 +382,8 @@ def _parse(argv: list[str]):
             try:
                 value = int(value)
             except ValueError:
-                raise DomainError("usage", f"argument {option.flag}: invalid int value: {value!r}") from None
+                shown = rationals._shown_in_message(value, repr)
+                raise DomainError("usage", f"argument {option.flag}: invalid int value: {shown}") from None
         if option.choices and value not in option.choices:
             raise _invalid_choice(option.flag, value, option.choices)
         if option.repeat:

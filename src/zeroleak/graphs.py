@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
+from . import rationals
 from .budget import AUTOMORPHISM_VERTEX_CAP, WorkMeter
 from .errors import DomainError, ResourceBudgetError
 from .values import FrozenValue
@@ -241,11 +242,18 @@ def encode_symbols(symbols, base: int) -> int:
 
 
 def decode_index(index: int, t: int, base: int) -> tuple[int, ...]:
+    """The t symbols of sequence number index over base symbols, big-endian.
+
+    The t symbols are checked against a `sequence_symbols` meter, and
+    base**t is capped at index's bit length (`_capped_power`), so a huge t
+    is refused before anything of its size is built.
+    """
     if t < 1:
         raise DomainError("bad_sequence", f"sequence length must be >= 1, got {t}")
     if base < 1:
         raise DomainError("bad_base", f"alphabet size must be >= 1, got {base}")
-    if not (0 <= index < base**t):
+    WorkMeter("sequence_symbols").check_size(t, "decoded sequence")
+    if not (0 <= index < _capped_power(base, t, index)):
         raise DomainError("bad_sequence", f"index {index} out of range for base {base}, t={t}")
     out = []
     for _ in range(t):
@@ -398,7 +406,7 @@ def and_product(g: Graph, h: Graph) -> Graph:
 
 def _require_power(t: int) -> None:
     if t < 1:
-        raise DomainError("bad_power", f"power t must be >= 1, got {t}")
+        raise DomainError("bad_power", f"power t must be >= 1, got {rationals._shown_in_message(t)}")
 
 
 def _capped_power(base: int, t: int, limit: int) -> int:
@@ -688,9 +696,12 @@ def trace_masks(T, theta: Graph, t: int) -> tuple[int, ...]:
     members = tuple(sorted(set(T)))
     if not members:
         raise DomainError("empty_vertex_set", "T must be nonempty")
-    total = theta.vertex_count**t
+    if members[0] < 0:
+        raise DomainError("vertex_out_of_range", f"sequence index {members[0]} is negative")
+    # |V|**t capped at the largest member, so exact whenever a member reaches it
+    total = _capped_power(theta.vertex_count, t, members[-1])
     for v in members:
-        if not (0 <= v < total):
+        if v >= total:
             raise DomainError("vertex_out_of_range", f"sequence index {v} out of range for |V|^t={total}")
     traces = set(rank_masks(_closed_power_rows(theta, t), vertex_mask(members)))
     traces.discard(0)

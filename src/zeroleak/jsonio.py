@@ -209,7 +209,8 @@ def parse_budget_spec(text: str) -> bounds.GuessBudget:
     """Parse a budget argument: const:c, poly:d, exp:p/q, or table:PATH."""
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
-        raise DomainError("bad_budget_spec", f"budget {text!r} must look like kind:value")
+        shown = rationals._shown_in_message(text, repr)
+        raise DomainError("bad_budget_spec", f"budget {shown} must look like kind:value")
     if kind == "const":
         return bounds.GuessBudget.constant(_parse_int(rest, "constant budget count"))
     if kind == "poly":
@@ -226,7 +227,7 @@ def parse_budget_spec(text: str) -> bounds.GuessBudget:
         if growth is not None and not isinstance(growth, str):
             raise DomainError("bad_budget_spec", '"growth" must be a "p/q" string or null')
         return bounds.GuessBudget.table(values, None if growth is None else rationals.parse_ratio(growth))
-    raise DomainError("bad_budget_spec", f"unknown budget kind {kind!r}")
+    raise DomainError("bad_budget_spec", f"unknown budget kind {rationals._shown_in_message(kind, repr)}")
 
 
 def _parse_int(text: str, what: str) -> int:
@@ -236,6 +237,7 @@ def _parse_int(text: str, what: str) -> int:
         # the pattern is a subset of what `int` reads, so a text it matches
         # failed only by being longer than the int-string conversion limit
         if re.fullmatch(r"\s*[+-]?\d+(?:_\d+)*\s*", text) is None:
-            raise DomainError("bad_budget_spec", f"{what} must be an integer, got {text!r}")
+            shown = rationals._shown_in_message(text, repr)
+            raise DomainError("bad_budget_spec", f"{what} must be an integer, got {shown}")
     limit = sys.get_int_max_str_digits()
     raise DomainError("bad_budget_spec", f"{what} {text[:24]}... has a part over {limit} digits long")

@@ -98,10 +98,11 @@ def solve_lp(program: LinearProgram) -> LpSolution:
     """Exact optimum over x >= 0 with deterministic pivoting, from the all-slack basis.
 
     Every program this package builds is bounded, so an unbounded one raises
-    `internal_error`.  The optimum is certified before it is returned: the
-    primal against x >= 0 and every row, the duals read from the final
-    dictionary against the program itself.  Each pivot is charged to the
-    `lp_pivots` work budget.
+    `internal_error`.  The optimum is read off the objective row of the final
+    dictionary and certified before it is returned: the assignment, read off
+    the rows, against x >= 0, every row and that optimum, and the duals, read
+    off the objective row, against the program itself.  Each pivot is
+    charged to the `lp_pivots` work budget.
 
     The dictionary keeps `d` times the entries of the nonbasic columns only:
     `rows[i]` for the variable `basis[i]`, with its right-hand side last,
@@ -159,7 +160,8 @@ def solve_lp(program: LinearProgram) -> LpSolution:
     for j, b in enumerate(nonbasic):
         if b >= n:
             duals[b - n] = Fraction(obj[j], d)
-    value = sum((c * x for c, x in zip(program.objective, assignment)), Fraction(0))
+    # the objective row's right-hand side is d times the optimum
+    value = Fraction(obj[-1], d)
     _validate(program, assignment, value, tuple(duals))
     return LpSolution(value, tuple(assignment), tuple(duals))
 

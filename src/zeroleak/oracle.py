@@ -26,6 +26,7 @@ from .graphs import (
     _capped_power,
     _closed_power_rows,
     _power_by_squaring,
+    _require_power,
     first_edge_within,
     independence_number,
     mis_of_or_power,
@@ -57,12 +58,12 @@ class GuessFamily(FrozenValue):
 
     @classmethod
     def singleton(cls, gamma: Graph, t: int) -> "GuessFamily":
-        total = gamma.vertex_count**t
+        total = _sequence_count(gamma, t)
         return cls("singleton", t, 1, tuple(frozenset({x}) for x in range(total)))
 
     @classmethod
     def multi_guess(cls, gamma: Graph, t: int, g: int) -> "GuessFamily":
-        total = gamma.vertex_count**t
+        total = _sequence_count(gamma, t)
         if not (1 <= g <= total):
             raise DomainError("bad_guess_count", f"need 1 <= g <= {total}, got {g}")
         return cls("multi", t, g, None)
@@ -80,6 +81,15 @@ class GuessFamily(FrozenValue):
         meter.check_size(math.comb(len(hoods), g), "multi approximate guess family")
         unions = {reduce(or_, combo) for combo in itertools.combinations(hoods, g)}
         return cls("multi_approx", t, g, _vertex_sets(unions))
+
+
+def _sequence_count(gamma: Graph, t: int) -> int:
+    """|V|**t, the length-t sequences a family guesses among, for t >= 1,
+    once a `guess_family` meter has checked it, capped (`_capped_power`)."""
+    _require_power(t)
+    meter = WorkMeter("guess_family")
+    meter.check_size(_capped_power(gamma.vertex_count, t, meter.limit), "guess family sequences")
+    return gamma.vertex_count**t
 
 
 def _vertex_sets(masks) -> tuple[frozenset[int], ...]:

@@ -115,16 +115,6 @@ def maximin_eta(g: Graph) -> WeightedFamily:
 # its LP optimum; whoever starts a top-level operation creates one and passes
 # it down, so the cache lives for one operation.
 
-def _check_exposed(universe: int, edges, ids) -> None:
-    covered = 0
-    for e in edges:
-        covered |= e
-    exposed = universe & ~covered
-    if exposed:
-        v = ids[(exposed & -exposed).bit_length() - 1]
-        raise DomainError("exposed_vertex", f"vertex {v} is in no hyperedge", {"vertex": v})
-
-
 def _presolve(width: int, edges):
     """Drop dominated structure without changing the covering optimum.
 
@@ -173,14 +163,17 @@ def _presolve(width: int, edges):
     return vertices & ~dominated, keep_edges
 
 
-def _kf_lp(edges: tuple[int, ...], kf_cache: dict):
-    """Fractional covering optimum of rank masks that cover ranks 0..k-1, cached by shape.
+def fractional_cover(edges: tuple[int, ...], kf_cache: dict):
+    """(value, edge weights) of the covering LP of rank-mask edges, cached by shape.
 
-    The shape is the sorted edge masks, which also fix k.  A hit maps the
-    stored weights back through the sort, equal masks in index order.  The
-    LP solved is the packing dual of the presolved instance, one column per
-    kept vertex and one row per kept edge; the edge weights are its row
-    prices.
+    The edges must cover ranks 0..k-1, for k the bit length of their union:
+    a `Hypergraph` is checked for an exposed vertex where it enters
+    (`_hypergraph_masks`), and a neighbourhood-trace family covers its set,
+    since each vertex lies in its own trace.  The shape is the sorted edge
+    masks, which also fix k.  A hit maps the stored weights back through the
+    sort, equal masks in index order.  The LP solved is the packing dual of
+    the presolved instance, one column per kept vertex and one row per kept
+    edge; the edge weights are its row prices.
     """
     order = sorted(range(len(edges)), key=edges.__getitem__)
     key = tuple(edges[i] for i in order)
@@ -213,28 +206,19 @@ def _kf_lp(edges: tuple[int, ...], kf_cache: dict):
     return value, tuple(weights)
 
 
-def fractional_cover(universe: int, edges: tuple[int, ...], ids, kf_cache: dict):
-    """(value, edge weights) of the covering LP of mask edges over `universe`.
+def min_cover_size(width: int, edges: tuple[int, ...], kf_cache: dict) -> int:
+    """Fewest mask edges whose union is ranks 0..width-1, by branch and bound.
 
-    `ids[r]` names rank r in the `exposed_vertex` error.
-    """
-    _check_exposed(universe, edges, ids)
-    return _kf_lp(rank_masks(edges, universe), kf_cache)
-
-
-def min_cover_size(universe: int, edges: tuple[int, ...], ids, kf_cache: dict) -> int:
-    """Fewest mask edges whose union is `universe`, by branch and bound.
-
-    A greedy cover (most new vertices, lowest index on ties) is the first
-    incumbent.  Each node of an explicit-stack search charges one
+    Every rank must be in some edge, as for `fractional_cover`.  A greedy
+    cover (most new vertices, lowest index on ties) is the first incumbent.
+    Each node of an explicit-stack search charges one
     `set_cover_search` unit, is pruned when its size plus the ceiling of its
     residual LP optimum cannot beat the incumbent, and otherwise branches on
     the uncovered vertex in the fewest edges (lowest rank on ties), trying
     its edges by residual LP weight, descending, then by index.
     """
-    _check_exposed(universe, edges, ids)
     meter = WorkMeter("set_cover_search")
-
+    universe = (1 << width) - 1
     uncovered = universe
     best_known = 0
     while uncovered:
@@ -242,7 +226,7 @@ def min_cover_size(universe: int, edges: tuple[int, ...], ids, kf_cache: dict) -
         uncovered &= ~edges[best]
         best_known += 1
 
-    ranks = range(universe.bit_length())
+    ranks = range(width)
     containing = [[i for i, e in enumerate(edges) if e >> v & 1] for v in ranks]
     pivot_order = sorted(ranks, key=lambda v: (len(containing[v]), v))
     stack = [(universe, 0)]
@@ -252,7 +236,7 @@ def min_cover_size(universe: int, edges: tuple[int, ...], ids, kf_cache: dict) -
         if not uncovered:
             best_known = min(best_known, chosen)
             continue
-        value, weights = _kf_lp(rank_masks(edges, uncovered), kf_cache)
+        value, weights = fractional_cover(rank_masks(edges, uncovered), kf_cache)
         if chosen + math.ceil(value) >= best_known:
             continue
         pivot = next(v for v in pivot_order if uncovered >> v & 1)
@@ -262,8 +246,14 @@ def min_cover_size(universe: int, edges: tuple[int, ...], ids, kf_cache: dict) -
 
 
 def _hypergraph_masks(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
+    """(width, edges) of h: its hyperedges as masks over its vertices' ranks,
+    once every vertex is found in some hyperedge."""
+    covered = set().union(*h.hyperedges)
+    for v in h.vertex_ids:
+        if v not in covered:
+            raise DomainError("exposed_vertex", f"vertex {v} is in no hyperedge", {"vertex": v})
     rank = {v: r for r, v in enumerate(h.vertex_ids)}
-    return (1 << len(rank)) - 1, tuple(sum(1 << rank[v] for v in e) for e in h.hyperedges)
+    return len(rank), tuple(sum(1 << rank[v] for v in e) for e in h.hyperedges)
 
 
 def fractional_covering(h: Hypergraph) -> WeightedVertices:
@@ -272,9 +262,8 @@ def fractional_covering(h: Hypergraph) -> WeightedVertices:
     At least 1 when there is a vertex; the empty hypergraph has the empty
     cover, of value 0.
     """
-    universe, edges = _hypergraph_masks(h)
-    value, weights = fractional_cover(universe, edges, h.vertex_ids, {})
-    return WeightedVertices(value, weights)
+    _, edges = _hypergraph_masks(h)
+    return WeightedVertices(*fractional_cover(edges, {}))
 
 
 def covering_number(h: Hypergraph) -> int:
@@ -283,8 +272,7 @@ def covering_number(h: Hypergraph) -> int:
     0 for the empty hypergraph (the empty cover).  The search is
     `min_cover_size` on the hyperedges as masks over the vertex ranks.
     """
-    universe, edges = _hypergraph_masks(h)
-    return min_cover_size(universe, edges, h.vertex_ids, {})
+    return min_cover_size(*_hypergraph_masks(h), {})
 
 
 def fractional_packing(theta: Graph) -> WeightedVertices:

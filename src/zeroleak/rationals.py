@@ -31,7 +31,7 @@ def parse_ratio(text: str) -> Fraction:
         raise DomainError("bad_rational", f"expected a rational string, got {text!r}")
     match = _RATIONAL_RE.match(text.strip())
     if match is None:
-        raise DomainError("bad_rational", f"cannot parse rational {text!r}")
+        raise DomainError("bad_rational", f"cannot parse rational {_shown_in_message(text, repr)}")
     num_text, den_text = match.groups()
     try:
         num, den = int(num_text), int(den_text or 1)
@@ -39,7 +39,7 @@ def parse_ratio(text: str) -> Fraction:
         limit = sys.get_int_max_str_digits()
         raise DomainError("bad_rational", f"rational {text[:24]}... has a part over {limit} digits long")
     if den == 0:
-        raise DomainError("bad_rational", f"zero denominator in {text!r}")
+        raise DomainError("bad_rational", f"zero denominator in {_shown_in_message(text, repr)}")
     return Fraction(num, den)
 
 
@@ -58,11 +58,16 @@ def _decimal_digits(x: int) -> int:
     return k + 1
 
 
-def _shown_in_message(value: Fraction | int, show=str) -> str:
-    """`show(value)` for an error message, unless a part of value has over 100
-    digits: then an integer is named by its digit count and a fraction's parts
-    by theirs, which also keeps the message clear of the int-string conversion
-    limit."""
+def _shown_in_message(value, show=str) -> str:
+    """`show(value)` for an error message, unless value is long.  A text of
+    over 100 characters is cut to its first 24 and "...".  An integer with
+    over 100 digits is named by its digit count, and a fraction with a part
+    that long by its parts' counts, which also keeps the message clear of the
+    int-string conversion limit."""
+    if isinstance(value, str):
+        return show(value) if len(value) <= 100 else show(value[:24]) + "..."
+    if not isinstance(value, (int, Fraction)):
+        return show(value)
     p, q = value.numerator, value.denominator
     if abs(p) < 10**100 and q < 10**100:
         return show(value)

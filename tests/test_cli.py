@@ -929,6 +929,40 @@ def test_budget_messages_name_long_numbers_by_their_size(capsysbinary, tmp_path,
     assert error["error"]["code"] == code and error["error"]["message"] == message
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (("leakage-optimal", "--graph", "fixture:c5", "--t", f"-{NINES_1000[:300]}"),
+         "bad_power", "power t must be >= 1, got a negative 300-digit integer"),
+        (("leakage-optimal", "--graph", "fixture:c5", "--t", NINES_5000),
+         "usage", f"argument --t: invalid int value: '{'9' * 24}'..."),
+        (("bounds-multi", "--graph", "fixture:c5", "--budget", NINES_1000[:300]),
+         "bad_budget_spec", f"budget '{'9' * 24}'... must look like kind:value"),
+        (("bounds-multi", "--graph", "fixture:c5", "--budget", "x" * 300 + ":1"),
+         "bad_budget_spec", f"unknown budget kind '{'x' * 24}'..."),
+        (("bounds-multi", "--graph", "fixture:c5", "--budget", "const:" + "x" * 300),
+         "bad_budget_spec", f"constant budget count must be an integer, got '{'x' * 24}'..."),
+        (("bounds-multi", "--graph", "fixture:c5", "--budget", "exp:" + "x" * 300),
+         "bad_rational", f"cannot parse rational '{'x' * 24}'..."),
+        (("bounds-multi", "--graph", "fixture:c5", "--budget", "exp:1/" + "0" * 300),
+         "bad_rational", f"zero denominator in '1/{'0' * 22}'..."),
+        (("product", "--graph", "fixture:c5", "--graph", "fixture:c5", "--op", "y" * 300),
+         "usage", f"argument --op: invalid choice: '{'y' * 24}'... (choose from 'or', 'and')"),
+        # numbers of up to 100 digits and texts of up to 100 characters are printed whole
+        (("leakage-optimal", "--graph", "fixture:c5", "--t", f"-{NINES_1000[:100]}"),
+         "bad_power", f"power t must be >= 1, got -{NINES_1000[:100]}"),
+        (("bounds-multi", "--graph", "fixture:c5", "--budget", NINES_1000[:100]),
+         "bad_budget_spec", f"budget '{NINES_1000[:100]}' must look like kind:value"),
+    ],
+    ids=["t", "t-int", "spec", "kind", "const", "rational", "zero-denominator", "choice", "short-t", "short-spec"],
+)
+def test_messages_name_long_values_by_their_size(capsysbinary, argv, code, message):
+    exit_code, out, err = run_main(capsysbinary, *argv)
+    assert exit_code == 1 and out == b""
+    error = json.loads(err)
+    assert error["error"]["code"] == code and error["error"]["message"] == message
+
+
 def test_answers_past_the_conversion_limit_are_budget_errors(capsysbinary, tmp_path):
     # the leakage has a 5001-digit denominator, though every input part is shorter
     p, q = 10**2500 + 1, 10**2500 + 3

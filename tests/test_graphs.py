@@ -101,6 +101,15 @@ def test_encode_decode_roundtrip():
     assert decode_index(7, 2, 5) == (1, 2)
 
 
+def test_a_huge_sequence_length_is_metered_before_decoding():
+    with pytest.raises(ResourceBudgetError) as e:
+        decode_index(0, 10**8, 5)
+    assert e.value.code == "budget_exceeded" and e.value.budget_name == "sequence_symbols"
+    with pytest.raises(DomainError) as e:
+        decode_index(5**30, 30, 5)
+    assert e.value.code == "bad_sequence"
+
+
 def test_or_product_matches_definition():
     # adjacent iff adjacent in at least one coordinate, distinct overall
     rng = random.Random(7)
@@ -382,6 +391,24 @@ def test_associated_hypergraph_full_set_is_neighborhood_traces():
     with pytest.raises(DomainError) as e:
         associated_hypergraph((), p3, 1)
     assert e.value.code == "empty_vertex_set"
+
+
+def test_a_huge_power_is_metered_before_its_traces():
+    c5 = resolve_fixture("c5")
+    with pytest.raises(ResourceBudgetError) as e:
+        associated_hypergraph([0], c5, 10**8)
+    assert e.value.code == "budget_exceeded" and e.value.budget_name == "graph_product"
+
+
+@pytest.mark.parametrize("T, message", [
+    ((0, 25), "sequence index 25 out of range for |V|^t=25"),
+    ((24, 30, 26), "sequence index 26 out of range for |V|^t=25"),
+    ((-1, 3), "sequence index -1 is negative"),
+])
+def test_trace_members_out_of_range(T, message):
+    with pytest.raises(DomainError) as e:
+        associated_hypergraph(T, resolve_fixture("c5"), 2)
+    assert e.value.code == "vertex_out_of_range" and e.value.message == message
 
 
 def _random_graph(rng, n):

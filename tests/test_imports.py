@@ -1,8 +1,10 @@
 """Imports under src/zeroleak: every one is used, and start-up stays light.
 
 The first tests stand in for a linter's unused-import rule, using only the
-standard library.  A name a package `__init__.py` lists in `__all__` counts
-as used, because that file imports it to re-export it.
+standard library.  An import counts as used only where its name is read.
+The package `__init__.py` re-exports no name by importing it: its `__all__`
+is `list(_HOME)`, and `__getattr__` reads each name off its home module, so
+an import of a public name there is as unused as anywhere else.
 
 The start-up guard imports `zeroleak.cli` in a fresh interpreter.  Every
 CLI call pays that import, so it must not load the modules that code
@@ -12,7 +14,7 @@ the shipped fixtures do not need to be read, nor `argparse` and the
 still load every module that the benchmark's tracer assigns a layer, because
 the tracer wraps only the functions of modules in `sys.modules` by then.
 Here "loaded" means registered: the modules that `zeroleak/__init__.py`
-registers in its `_LAZY` tuple (`rationals`, `lp`, `programs`, `leakage`,
+registers with `_register_lazily` (`rationals`, `lp`, `programs`, `leakage`,
 `bounds` and `oracle`) are lazy modules, in `sys.modules` from the start,
 whose bodies run when one of their attributes is first read.  The tracer's
 `vars()` reads them, so it still wraps every layer.
@@ -51,9 +53,6 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
@@ -70,6 +69,13 @@ def test_no_unused_module_level_import(path):
 def test_the_guard_sees_an_unused_import():
     tree = ast.parse("from .rationals import format_ratio\nimport math\nx = math.pi\n")
     assert _unused_imports(tree) == ["format_ratio (line 1)"]
+
+
+def test_the_guard_sees_a_public_name_imported_into_the_package():
+    # `adjacency` is in `__all__`, but `__getattr__` reads it off `graphs`
+    source = (SOURCE / "__init__.py").read_text(encoding="utf-8")
+    tree = ast.parse(source + "from .graphs import adjacency\n")
+    assert _unused_imports(tree) == [f"adjacency (line {source.count(chr(10)) + 1})"]
 
 
 def _tracer_layer_map() -> dict:
@@ -93,13 +99,13 @@ def test_cli_import_is_light_and_eager():
 
 
 def _lazy_modules() -> tuple:
-    # the names in the tuple literal of `_LAZY = tuple(map(_register_lazily, (...)))`
+    # the names in the tuple literal of `... = map(_register_lazily, (...))`
     tree = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "_LAZY" for t in node.targets):
+        if isinstance(node, ast.Assign) and "_register_lazily" in ast.unparse(node.value):
             names = next(ast.literal_eval(n) for n in ast.walk(node.value) if isinstance(n, ast.Tuple))
             return tuple(f"zeroleak.{name}" for name in names)
-    raise AssertionError("zeroleak/__init__.py has no _LAZY")
+    raise AssertionError("zeroleak/__init__.py registers no lazy module")
 
 
 LAZY = _lazy_modules()
@@ -187,6 +193,20 @@ def test_bounds_calls_run_no_scheme_code():
 def test_scheme_calls_run_no_bounds_code(with_mapping):
     found = _run(with_mapping(SCHEMES), ("zeroleak.bounds",))
     assert found == [[0] * len(SCHEMES), [], []]
+
+
+@pytest.mark.parametrize("name, ran", [
+    # a scheme name leaves the LPs and the bounds unrun, a bounds name the schemes and the LPs
+    ("maximal_leakage", ["zeroleak.rationals", "zeroleak.leakage"]),
+    ("GuessBudget", ["zeroleak.rationals", "zeroleak.bounds"]),
+])
+def test_a_public_name_runs_only_its_home_module_and_its_imports(name, ran):
+    assert _probe(f"""
+import zeroleak
+zeroleak.{name}
+print(json.dumps([module for module in {LAZY!r}
+                  if any(not key.startswith("__") for key in object.__getattribute__(sys.modules[module], "__dict__"))]))
+""") == ran
 
 
 def test_every_public_name_resolves_to_its_home_object():

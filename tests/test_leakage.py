@@ -671,8 +671,7 @@ def test_multi_approx_caps_take_one_search_per_multiset_of_base_families():
         kf_cache = {}
 
         def cover(combo):
-            width, masks = product_traces(combo)
-            return min_cover_size((1 << width) - 1, masks, range(width), kf_cache)
+            return min_cover_size(*product_traces(combo), kf_cache)
 
         caps = []
         for t in (1, 2, 3):

@@ -61,6 +61,26 @@ def test_guess_family_multi():
         GuessFamily.multi_guess(c5, 1, 0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda c5: GuessFamily.singleton(c5, 12),
+    lambda c5: GuessFamily.multi_guess(c5, 10**8, 1),
+    lambda c5: GuessFamily.approx(c5, 10**8),
+], ids=["singleton", "multi", "approx"])
+def test_guess_families_over_too_many_sequences_are_metered(build):
+    with pytest.raises(ResourceBudgetError) as e:
+        build(resolve_fixture("c5"))
+    assert e.value.code == "budget_exceeded"
+
+
+@pytest.mark.parametrize("t", [0, -3])
+def test_guess_families_need_a_positive_block_length(t):
+    c5 = resolve_fixture("c5")
+    for build in (lambda: GuessFamily.singleton(c5, t), lambda: GuessFamily.multi_guess(c5, t, 1)):
+        with pytest.raises(DomainError) as e:
+            build()
+        assert e.value.code == "bad_power"
+
+
 def test_guess_family_approx():
     theta = resolve_fixture("fig1_theta")
     fam = GuessFamily.approx(theta, 1)

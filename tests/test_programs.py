@@ -214,8 +214,7 @@ def test_covering_cache_respects_vertex_names(monkeypatch):
     assert _rank_masks(b) == (universe, edges)
     shuffled = (edges[2], edges[0], edges[1])
     cache = {}
-    results = [fractional_cover(universe, e, ids, cache) for e, ids in
-               ((edges, a.vertex_ids), (edges, b.vertex_ids), (shuffled, range(3)))]
+    results = [fractional_cover(e, cache) for e in (edges, edges, shuffled)]
     assert len(solves) == 1 and len(cache) == 1
     assert results[0] == results[1] == (Fraction(2), (Fraction(1), Fraction(0), Fraction(1)))
     assert results[2] == (Fraction(2), (Fraction(1), Fraction(1), Fraction(0)))
